@@ -43,7 +43,6 @@ __all__ = [
     "PointCloud",
     "PlaneSet",
     "plane_basis",
-    "plane_corners",
     "to_basis",
     "from_basis",
     "transform_plane",
@@ -229,11 +228,17 @@ class Plane:
         object.__setattr__(self, "span_x", _readonly(px))
         object.__setattr__(self, "span_y", _readonly(py))
 
+    @cached_property
+    def _frame(self) -> tuple[Basis, np.ndarray]:
+        return _span_frame(self.span_x, self.span_y)
+
     @property
     def normal(self) -> np.ndarray:
-        n = np.cross(self.span_x / np.linalg.norm(self.span_x),
-                     self.span_y / np.linalg.norm(self.span_y))
-        return n / np.linalg.norm(n)
+        return self._frame[0].matrix[:, 2]
+
+    @property
+    def half_extents(self) -> np.ndarray:
+        return self._frame[1]
 
     @property
     def distance_to_origin(self) -> float:
@@ -241,7 +246,8 @@ class Plane:
 
     @property
     def area(self) -> float:
-        return float(np.linalg.norm(self.span_x) * np.linalg.norm(self.span_y))
+        h = self._frame[1]
+        return float(4.0 * h[0] * h[1])
 
     def corners(self) -> np.ndarray:
         """Counter-clockwise corner loop, shape (4, 3)."""
@@ -273,13 +279,18 @@ class PointCloud:
 
 
 class PlaneSet:
-    """Ordered collection of planes with cached normals / origin distances."""
+    """Ordered collection of planes; their frames (:func:`_span_frame`),
+    normals, centers and origin distances stacked as read-only arrays."""
 
     def __init__(self, planes: Sequence[Plane] = ()):
         self.planes: tuple[Plane, ...] = tuple(planes)
         n = len(self.planes)
-        self.normals = _readonly(
-            np.stack([p.normal for p in self.planes]) if n else np.empty((0, 3)))
+        self.bases = _readonly(
+            np.stack([plane_basis(p).matrix for p in self.planes]) if n
+            else np.empty((0, 3, 3)))
+        self.half_extents = _readonly(
+            np.stack([p.half_extents for p in self.planes]) if n else np.empty((0, 2)))
+        self.normals = _readonly(self.bases[:, :, 2])
         self.centers = _readonly(
             np.stack([p.center for p in self.planes]) if n else np.empty((0, 3)))
         self.distances = _readonly(
@@ -297,35 +308,20 @@ class PlaneSet:
     def transformed(self, pose: Pose) -> "PlaneSet":
         return PlaneSet([transform_plane(p, pose) for p in self.planes])
 
-    @cached_property
-    def _basis_stack(self) -> np.ndarray:
-        """(n, 3, 3) stack of per-plane basis matrices (for batched queries)."""
-        if not self.planes:
-            return np.empty((0, 3, 3))
-        return np.stack([plane_basis(p).matrix for p in self.planes])
 
-    @cached_property
-    def _half_extents(self) -> np.ndarray:
-        """(n, 2) half edge lengths along each plane's in-plane axes."""
-        if not self.planes:
-            return np.empty((0, 2))
-        return 0.5 * np.array(
-            [[np.linalg.norm(p.span_x), np.linalg.norm(p.span_y)] for p in self.planes])
+def _span_frame(span_x: np.ndarray, span_y: np.ndarray) -> tuple[Basis, np.ndarray]:
+    """A plane's frame, derived once per plane: the basis of the unit spans
+    and their normalised cross product, and the half edge lengths."""
+    nx, ny = np.linalg.norm(span_x), np.linalg.norm(span_y)
+    bx, by = span_x / nx, span_y / ny
+    bz = np.cross(bx, by)
+    bz /= np.linalg.norm(bz)
+    return Basis(np.column_stack([bx, by, bz])), _readonly(0.5 * np.array([nx, ny]))
 
 
 def plane_basis(p: Plane) -> Basis:
     """Orthonormal frame of a plane; the third column is its unit normal."""
-    nx, ny = np.linalg.norm(p.span_x), np.linalg.norm(p.span_y)
-    if nx == 0.0 or ny == 0.0:
-        raise InvalidPlaneError("degenerate span vectors")
-    bx, by = p.span_x / nx, p.span_y / ny
-    bz = np.cross(bx, by)
-    bz /= np.linalg.norm(bz)
-    return Basis(np.column_stack([bx, by, bz]))
-
-
-def plane_corners(p: Plane) -> np.ndarray:
-    return p.corners()
+    return p._frame[0]
 
 
 def to_basis(points: np.ndarray, basis: Basis) -> np.ndarray:

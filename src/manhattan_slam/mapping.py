@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import (
+    Basis,
     Plane,
     PlaneSet,
     Pose,
@@ -54,24 +55,24 @@ class MappingParams:
 
 @dataclass(frozen=True)
 class PlaneMap:
-    """World-frame plane map plus a log of the frames merged per revision."""
+    """World-frame plane map plus the number of frames merged into it."""
 
     planes: PlaneSet = field(default_factory=PlaneSet)
-    source_log: tuple[tuple[int, ...], ...] = ()
+    frame_count: int = 0
     revision: int = 0
 
     def __len__(self) -> int:
         return len(self.planes)
 
 
-def _box_in_basis(p: Plane, B) -> tuple[np.ndarray, np.ndarray]:
+def _box_in_basis(p: Plane, B: Basis) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) corners of a plane's 2D box in another plane's frame."""
     corners = to_basis(p.corners(), B)
     return corners.min(axis=0), corners.max(axis=0)
 
 
-def _gate_matrix(planes: list[Plane], params: "MappingParams") -> np.ndarray:
-    """Ordered-pair merge-condition matrix over a plane list.
+def _gate_matrix(planes: PlaneSet, params: "MappingParams") -> np.ndarray:
+    """Ordered-pair merge-condition matrix over a plane set.
 
     ``gate[i, j]`` is merge_condition(planes[i], planes[j]); row-major
     argwhere order therefore matches a nested (i, j) scan.
@@ -79,9 +80,7 @@ def _gate_matrix(planes: list[Plane], params: "MappingParams") -> np.ndarray:
     n = len(planes)
     if n == 0:
         return np.zeros((0, 0), dtype=bool)
-    N = np.stack([p.normal for p in planes])
-    C = np.stack([p.center for p in planes])
-    B = np.stack([plane_basis(p).matrix for p in planes])
+    N, C, B = planes.normals, planes.centers, planes.bases
     corners = np.stack([p.corners() for p in planes])
 
     g1 = np.abs(N @ N.T) > params.coplanar_threshold
@@ -100,7 +99,7 @@ def _gate_matrix(planes: list[Plane], params: "MappingParams") -> np.ndarray:
     return gate
 
 
-def _proximity_pairs(planes: list[Plane], reach: float) -> np.ndarray:
+def _proximity_pairs(planes: PlaneSet, reach: float) -> np.ndarray:
     """(k, 2) ordered index pairs of planes that could fuse edges.
 
     Requires overlapping bounding spheres (padded by ``reach``) and, in both
@@ -110,11 +109,10 @@ def _proximity_pairs(planes: list[Plane], reach: float) -> np.ndarray:
     n = len(planes)
     if n < 2:
         return np.empty((0, 2), dtype=int)
-    C = np.stack([p.center for p in planes])
-    N = np.stack([p.normal for p in planes])
+    C, N, H = planes.centers, planes.normals, planes.half_extents
     SX = np.stack([p.span_x for p in planes])
     SY = np.stack([p.span_y for p in planes])
-    r = 0.5 * np.hypot(np.linalg.norm(SX, axis=1), np.linalg.norm(SY, axis=1))
+    r = np.hypot(H[:, 0], H[:, 1])
     d = np.linalg.norm(C[:, None] - C[None, :], axis=2)
     near = d <= (r[:, None] + r[None, :] + reach)
     # plane j's box vs plane i's infinite plane: |n_i . c_j - d_i| minus the
@@ -167,18 +165,17 @@ def _merge_group(anchor: Plane, others: Sequence[Plane]) -> Plane:
                  (hi[1] - lo[1]) * B.b_y)
 
 
-def _saturate(planes: list[Plane], params: MappingParams) -> list[Plane]:
+def _saturate(planes: Sequence[Plane], params: MappingParams) -> PlaneSet:
     """Merge pairs until no ordered pair satisfies the merge condition."""
-    planes = list(planes)
+    planes = PlaneSet(planes)
     while len(planes) > 1:
-        gate = _gate_matrix(planes, params)
-        hits = np.argwhere(gate)
+        hits = np.argwhere(_gate_matrix(planes, params))
         if hits.size == 0:
             break
         i, j = int(hits[0, 0]), int(hits[0, 1])
         merged = _merge_group(planes[i], [planes[j]])
         keep = [planes[k] for k in range(len(planes)) if k not in (i, j)]
-        planes = [merged, *keep] if i < j else [*keep, merged]
+        planes = PlaneSet([merged, *keep] if i < j else [*keep, merged])
     return planes
 
 
@@ -193,8 +190,7 @@ def merge_plane_sets(map_set: PlaneSet, new_set: PlaneSet,
     """
     params = params or MappingParams()
     n_map = len(map_set)
-    combined = [*map_set, *new_set]
-    gate = _gate_matrix(combined, params) if combined else None
+    gate = _gate_matrix(PlaneSet([*map_set, *new_set]), params)
     consumed = np.zeros(len(new_set), dtype=bool)
     merged: list[Plane] = []
     for i, p in enumerate(map_set):
@@ -206,7 +202,7 @@ def merge_plane_sets(map_set: PlaneSet, new_set: PlaneSet,
         else:
             merged.append(p)
     merged.extend(q for j, q in enumerate(new_set) if not consumed[j])
-    return PlaneSet(_saturate(merged, params))
+    return _saturate(merged, params)
 
 
 def _fuse_perpendicular(planes: list[Plane], params: MappingParams) -> list[Plane]:
@@ -218,7 +214,7 @@ def _fuse_perpendicular(planes: list[Plane], params: MappingParams) -> list[Plan
     overlap along the line direction.
     """
     planes = list(planes)
-    for i, j in _proximity_pairs(planes, params.edge_fuse_distance):
+    for i, j in _proximity_pairs(PlaneSet(planes), params.edge_fuse_distance):
         a, b = planes[i], planes[j]
         if abs(float(a.normal @ b.normal)) <= 0.1:
             u = np.cross(a.normal, b.normal)
@@ -230,7 +226,6 @@ def _fuse_perpendicular(planes: list[Plane], params: MappingParams) -> list[Plan
 
             Ba = plane_basis(a)
             axes = [Ba.b_x, Ba.b_y]
-            spans = [np.linalg.norm(a.span_x), np.linalg.norm(a.span_y)]
             along = [abs(float(u @ ax)) for ax in axes]
             k = int(np.argmax(along))          # span axis parallel to the line
             if along[k] < params.axis_alignment:
@@ -238,7 +233,7 @@ def _fuse_perpendicular(planes: list[Plane], params: MappingParams) -> list[Plan
             w = 1 - k                          # span axis crossing the line
             ca = to_basis(a.center, Ba)
             line_b = to_basis(point, Ba)
-            edges = [ca[w] - 0.5 * spans[w], ca[w] + 0.5 * spans[w]]
+            edges = [ca[w] - a.half_extents[w], ca[w] + a.half_extents[w]]
             dist = [abs(e - line_b[w]) for e in edges]
             side = int(np.argmin(dist))
             if dist[side] > params.edge_fuse_distance or dist[side] == 0.0:
@@ -268,7 +263,7 @@ def _fuse_parallel(planes: list[Plane], params: MappingParams) -> list[Plane]:
     to the midline so a later merge pass can unify the pair.
     """
     planes = list(planes)
-    for i, j in _proximity_pairs(planes, params.edge_fuse_distance):
+    for i, j in _proximity_pairs(PlaneSet(planes), params.edge_fuse_distance):
         if i < j:
             a, b = planes[i], planes[j]
             if abs(float(a.normal @ b.normal)) < params.coplanar_threshold:
@@ -277,8 +272,8 @@ def _fuse_parallel(planes: list[Plane], params: MappingParams) -> list[Plane]:
                 continue
             Ba = plane_basis(a)
             # b's box axes must align with a's for an extent-only adjustment
-            align = to_basis(np.stack([b.span_x / np.linalg.norm(b.span_x),
-                                       b.span_y / np.linalg.norm(b.span_y)]), Ba)
+            Bb = plane_basis(b)
+            align = to_basis(np.stack([Bb.b_x, Bb.b_y]), Ba)
             if np.max(np.abs(align[:, :2]), axis=0).min() < params.axis_alignment:
                 continue
             lo_a, hi_a = _box_in_basis(a, Ba)
@@ -305,7 +300,7 @@ def _fuse_parallel(planes: list[Plane], params: MappingParams) -> list[Plane]:
     return planes
 
 
-def _resized_in_basis(p: Plane, B, axis: int, interval: tuple[float, float]) -> Plane:
+def _resized_in_basis(p: Plane, B: Basis, axis: int, interval: tuple[float, float]) -> Plane:
     """Plane with one in-plane interval replaced, in the given frame."""
     lo, hi = _box_in_basis(p, B)
     coord = float(to_basis(p.center, B)[2])
@@ -324,18 +319,19 @@ def cleanup_map(plane_map: PlaneMap, params: Optional[MappingParams] = None) -> 
     planes = [p for p in plane_map.planes if p.area >= params.min_area]
     planes = _fuse_perpendicular(planes, params)
     planes = _fuse_parallel(planes, params)
-    planes = _saturate(planes, params)
-    return PlaneMap(PlaneSet(planes), plane_map.source_log, plane_map.revision)
+    return PlaneMap(_saturate(planes, params), plane_map.frame_count, plane_map.revision)
 
 
 def update_map(plane_map: PlaneMap, world_set: PlaneSet, frame_id: int,
                params: Optional[MappingParams] = None) -> PlaneMap:
-    """One pipeline step: merge a world-frame plane set in, then clean up."""
+    """One pipeline step: merge a world-frame plane set in, then clean up.
+
+    ``frame_id`` names the merged frame for callers and traces; the map
+    itself only counts frames.
+    """
     params = params or MappingParams()
     merged = merge_plane_sets(plane_map.planes, world_set, params)
-    out = PlaneMap(merged,
-                   plane_map.source_log + ((frame_id,),),
-                   plane_map.revision + 1)
+    out = PlaneMap(merged, plane_map.frame_count + 1, plane_map.revision + 1)
     return cleanup_map(out, params)
 
 
@@ -366,7 +362,7 @@ def map_to_dict(plane_map: PlaneMap) -> dict:
             for p in plane_map.planes
         ],
         "metadata": {
-            "frame_count": len(plane_map.source_log),
+            "frame_count": plane_map.frame_count,
             "revision": plane_map.revision,
         },
     }
@@ -378,9 +374,7 @@ def map_from_dict(d: dict) -> PlaneMap:
                              np.asarray(p["span_y"], float))
                        for p in d["planes"]])
     meta = d.get("metadata", {})
-    return PlaneMap(planes,
-                    tuple((k,) for k in range(meta.get("frame_count", 0))),
-                    meta.get("revision", 0))
+    return PlaneMap(planes, meta.get("frame_count", 0), meta.get("revision", 0))
 
 
 def map_to_json(plane_map: PlaneMap) -> str:

@@ -75,7 +75,6 @@ class PipelineConfig:
     enable_loop_closure: bool = True
     scan_rate_hz: float = 10.0
     decimation: int = 10
-    output_dir: Optional[str] = None
     odometry_noise_sigma_t: float = 0.0
     odometry_noise_sigma_r_deg: float = 0.0
     odometry_noise_seed: int = 0

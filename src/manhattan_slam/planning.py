@@ -97,43 +97,44 @@ def segment_plane_intersect(seg: Segment, p: Plane) -> Optional[np.ndarray]:
     if c < 0.0 or c > 1.0:
         return None
     x = a + c * (b - a)
-    hu = 0.5 * np.linalg.norm(p.span_x)
-    hv = 0.5 * np.linalg.norm(p.span_y)
+    hu, hv = p.half_extents
     if abs(x[0] - cB[0]) > hu or abs(x[1] - cB[1]) > hv:
         return None
     return seg.a + c * (seg.b - seg.a)
 
 
-def _collides_batch(a: np.ndarray, b: np.ndarray, basis_stack: np.ndarray,
-                    centers_local: np.ndarray, half_extents: np.ndarray) -> bool:
-    """Vectorized segment-vs-all-planes test on precomputed plane frames."""
-    aB = basis_stack.transpose(0, 2, 1) @ a
-    bB = basis_stack.transpose(0, 2, 1) @ b
+def _collides_batch(a: np.ndarray, b: np.ndarray, planes: PlaneSet,
+                    centers_local: np.ndarray) -> bool:
+    """Vectorized segment-vs-all-planes test on the planes' stacked frames."""
+    Bt = planes.bases.transpose(0, 2, 1)
+    aB, bB = Bt @ a, Bt @ b
     v3 = bB[:, 2] - aB[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         c = (centers_local[:, 2] - aB[:, 2]) / v3
     valid = (v3 != 0.0) & (c >= 0.0) & (c <= 1.0)
     x = aB + c[:, None] * (bB - aB)
-    inside = (np.abs(x[:, 0] - centers_local[:, 0]) <= half_extents[:, 0]) & \
-             (np.abs(x[:, 1] - centers_local[:, 1]) <= half_extents[:, 1])
+    half = planes.half_extents
+    inside = (np.abs(x[:, 0] - centers_local[:, 0]) <= half[:, 0]) & \
+             (np.abs(x[:, 1] - centers_local[:, 1]) <= half[:, 1])
     return bool(np.any(valid & inside))
 
 
-def _plane_frames(planes: PlaneSet):
-    basis_stack = planes._basis_stack
-    centers_local = np.einsum("nij,nj->ni",
-                              basis_stack.transpose(0, 2, 1), planes.centers) \
-        if len(planes) else np.empty((0, 3))
-    return basis_stack, centers_local, planes._half_extents
+def _local_centers(planes: PlaneSet) -> np.ndarray:
+    """(n, 3) each plane's center in its own frame."""
+    return np.einsum("nij,nj->ni", planes.bases.transpose(0, 2, 1), planes.centers)
+
+
+def _plane_set(plane_map) -> PlaneSet:
+    """The planes of a PlaneMap, or a PlaneSet as given."""
+    return plane_map if isinstance(plane_map, PlaneSet) else plane_map.planes
 
 
 def segment_collides(seg: Segment, plane_map) -> bool:
-    """True iff the segment intersects any plane of the map."""
-    planes: PlaneSet = plane_map.planes if hasattr(plane_map, "planes") else plane_map
+    """True iff the segment intersects any plane of a PlaneMap or PlaneSet."""
+    planes = _plane_set(plane_map)
     if len(planes) == 0:
         return False
-    basis_stack, centers_local, half = _plane_frames(planes)
-    return _collides_batch(seg.a, seg.b, basis_stack, centers_local, half)
+    return _collides_batch(seg.a, seg.b, planes, _local_centers(planes))
 
 
 def rrt_build(plane_map, start: np.ndarray, bounds: Bounds, n_nodes: int,
@@ -148,19 +149,20 @@ def rrt_build(plane_map, start: np.ndarray, bounds: Bounds, n_nodes: int,
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
-    start = np.asarray(start, float)
-    planes: PlaneSet = plane_map.planes if hasattr(plane_map, "planes") else plane_map
-    frames = _plane_frames(planes) if len(planes) else None
+    planes = _plane_set(plane_map)
+    centers_local = _local_centers(planes)
 
     rng = np.random.default_rng(seed)
-    nodes = [start]
-    parents = [-1]
+    nodes = np.empty((n_nodes, 3))
+    nodes[0] = start
+    parents = np.full(n_nodes, -1)
+    count = 1
     max_samples = 100 * n_nodes
     samples = 0
-    while len(nodes) < n_nodes and samples < max_samples:
+    while count < n_nodes and samples < max_samples:
         samples += 1
         target = rng.uniform(bounds.lo, bounds.hi)
-        arr = np.asarray(nodes)
+        arr = nodes[:count]
         nearest = int(np.argmin(np.sum((arr - target) ** 2, axis=1)))
         d = target - arr[nearest]
         dist = float(np.linalg.norm(d))
@@ -169,12 +171,12 @@ def rrt_build(plane_map, start: np.ndarray, bounds: Bounds, n_nodes: int,
         new = arr[nearest] + d * min(1.0, step / dist)
         if np.allclose(new, arr[nearest]):
             continue
-        if frames is not None and _collides_batch(arr[nearest], new, *frames):
+        if len(planes) and _collides_batch(arr[nearest], new, planes, centers_local):
             continue
-        nodes.append(new)
-        parents.append(nearest)
-    return Tree(np.asarray(nodes), np.asarray(parents, dtype=int),
-                complete=(len(nodes) == n_nodes))
+        nodes[count] = new
+        parents[count] = nearest
+        count += 1
+    return Tree(nodes[:count], parents[:count], complete=(count == n_nodes))
 
 
 def tree_to_dict(tree: Tree) -> dict:

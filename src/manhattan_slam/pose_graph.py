@@ -27,7 +27,6 @@ from .geometry import (
     Pose,
     compose,
     orthonormalize,
-    relative_pose,
     so3_exp,
     so3_log,
 )
@@ -121,7 +120,6 @@ def registration_to_relative(parent_pose: Pose, rotation: np.ndarray,
 
 def edge_error(measured: Pose, pose_i: Pose, pose_j: Pose) -> np.ndarray:
     """6-vector discrepancy between a measured and predicted relative pose."""
-    pred = relative_pose(pose_i, pose_j)
     return _edge_error_raw(measured.R, measured.t,
                            pose_i.R, pose_i.t, pose_j.R, pose_j.t)
 

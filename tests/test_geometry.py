@@ -235,6 +235,16 @@ class TestContainers:
             assert np.allclose(ps.normals[i], p.normal, atol=1e-12)
             assert np.allclose(ps.centers[i], p.center, atol=1e-12)
             assert abs(ps.distances[i] - p.normal @ p.center) < 1e-9
+            assert np.array_equal(ps.bases[i], plane_basis(p).matrix)
+            assert np.array_equal(ps.bases[i][:, 2], ps.normals[i])
+            assert np.array_equal(ps.half_extents[i], 0.5 * np.array(
+                [np.linalg.norm(p.span_x), np.linalg.norm(p.span_y)]))
+        for a in (ps.bases, ps.half_extents, ps.normals, ps.centers, ps.distances):
+            assert not a.flags.writeable
+        empty = PlaneSet()
+        assert empty.bases.shape == (0, 3, 3)
+        assert empty.half_extents.shape == (0, 2)
+        assert empty.normals.shape == (0, 3)
 
     def test_plane_set_transform_matches_plane_transform(self):
         rng = np.random.default_rng(6)

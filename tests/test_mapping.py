@@ -230,7 +230,7 @@ class TestMapIO:
         planes = [square(rng.uniform(-5, 5, 3) * [1, 1, 0], normal_axis=int(a),
                          size=tuple(rng.uniform(0.5, 3.0, 2)))
                   for a in rng.integers(0, 3, 8)]
-        m = PlaneMap(PlaneSet(planes), ((0,), (1,)), 2)
+        m = PlaneMap(PlaneSet(planes), 2, 2)
         text = map_to_json(m)
         back = map_from_json(text)
         assert len(back) == len(m)
@@ -243,7 +243,7 @@ class TestMapIO:
         assert len(load_map(path)) == len(m)
 
     def test_metadata_preserved(self):
-        m = PlaneMap(PlaneSet([square([0, 0, 0])]), ((0,), (1,), (2,)), 3)
+        m = PlaneMap(PlaneSet([square([0, 0, 0])]), 3, 3)
         back = map_from_json(map_to_json(m))
         assert back.revision == 3
-        assert len(back.source_log) == 3
+        assert back.frame_count == 3

@@ -116,6 +116,17 @@ class TestSegmentCollides:
         scalar = any(segment_plane_intersect(seg, p) is not None for p in planes)
         assert segment_collides(seg, m) == scalar
 
+    def test_plane_set_and_plane_map_agree(self):
+        rng = np.random.default_rng(11)
+        planes = PlaneSet([random_plane(rng) for _ in range(8)])
+        answers = set()
+        for _ in range(200):
+            seg = Segment(rng.uniform(-4, 4, 3), rng.uniform(-4, 4, 3))
+            answers.add(segment_collides(seg, planes))
+            assert segment_collides(seg, planes) == segment_collides(seg, PlaneMap(planes))
+        assert answers == {True, False}
+        assert not segment_collides(Segment(np.zeros(3), np.ones(3)), PlaneSet())
+
 
 class TestRrt:
     def room_map(self) -> PlaneMap:
@@ -153,6 +164,14 @@ class TestRrt:
             for plane in m.planes:
                 hit = sampled_segment_plane_hit(tree.nodes[p], tree.nodes[i], plane)
                 assert hit is None
+
+    def test_plane_set_and_plane_map_grow_the_same_tree(self):
+        m = self.room_map()
+        bounds = Bounds(np.array([-3.5, -3.5, 0.2]), np.array([3.5, 3.5, 1.8]))
+        args = (np.array([0, 0, 1.0]), bounds, 150, 0.8)
+        from_set = rrt_build(m.planes, *args, seed=7)
+        from_map = rrt_build(m, *args, seed=7)
+        assert tree_to_dict(from_set) == tree_to_dict(from_map)
 
     def test_edges_respect_step(self):
         m = self.room_map()
