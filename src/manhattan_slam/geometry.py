@@ -31,6 +31,7 @@ __all__ = [
     "InvalidPoseError",
     "InvalidBasisError",
     "ORTHO_TOL",
+    "cross3",
     "skew",
     "so3_exp",
     "so3_log",
@@ -84,6 +85,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def cross3(a, b) -> np.ndarray:
+    """Cross product of two float 3-vectors, bit for bit ``np.cross(a, b)``.
+
+    The same three multiply/subtract pairs on Python floats, without
+    ``np.cross``'s broadcasting machinery, which dominates for one pair.
+    """
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -190,7 +202,7 @@ class Basis:
             raise InvalidBasisError("basis columns are not orthonormal")
         if abs(np.linalg.det(B) - 1.0) > ORTHO_TOL:
             raise InvalidBasisError("basis is not right-handed")
-        if np.max(np.abs(np.cross(B[:, 0], B[:, 1]) - B[:, 2])) > ORTHO_TOL:
+        if np.max(np.abs(cross3(B[:, 0], B[:, 1]) - B[:, 2])) > ORTHO_TOL:
             raise InvalidBasisError("b_z != b_x x b_y")
         object.__setattr__(self, "matrix", _readonly(B))
 
@@ -253,7 +265,7 @@ class Plane:
         """Counter-clockwise corner loop, shape (4, 3)."""
         h = 0.5 * (self.span_x + self.span_y)
         g = 0.5 * (self.span_x - self.span_y)
-        return np.stack([self.center - h, self.center + g,
+        return np.array([self.center - h, self.center + g,
                          self.center + h, self.center - g])
 
 
@@ -280,21 +292,27 @@ class PointCloud:
 
 class PlaneSet:
     """Ordered collection of planes; their frames (:func:`_span_frame`),
-    normals, centers and origin distances stacked as read-only arrays."""
+    normals, centers, origin distances and corner loops stacked as read-only
+    arrays."""
 
     def __init__(self, planes: Sequence[Plane] = ()):
         self.planes: tuple[Plane, ...] = tuple(planes)
         n = len(self.planes)
-        self.bases = _readonly(
-            np.stack([plane_basis(p).matrix for p in self.planes]) if n
-            else np.empty((0, 3, 3)))
-        self.half_extents = _readonly(
-            np.stack([p.half_extents for p in self.planes]) if n else np.empty((0, 2)))
+
+        def stacked(rows, shape) -> np.ndarray:
+            return np.array(rows, dtype=float).reshape(n, *shape)
+
+        self.bases = _readonly(stacked([plane_basis(p).matrix for p in self.planes], (3, 3)))
+        self.half_extents = _readonly(stacked([p.half_extents for p in self.planes], (2,)))
         self.normals = _readonly(self.bases[:, :, 2])
-        self.centers = _readonly(
-            np.stack([p.center for p in self.planes]) if n else np.empty((0, 3)))
-        self.distances = _readonly(
-            np.einsum("ij,ij->i", self.normals, self.centers) if n else np.empty(0))
+        self.centers = _readonly(stacked([p.center for p in self.planes], (3,)))
+        self.distances = _readonly(np.einsum("ij,ij->i", self.normals, self.centers))
+        # (n, 4, 3), elementwise in the operation order of Plane.corners()
+        SX = stacked([p.span_x for p in self.planes], (3,))
+        SY = stacked([p.span_y for p in self.planes], (3,))
+        h, g = 0.5 * (SX + SY), 0.5 * (SX - SY)
+        C = self.centers
+        self.corners = _readonly(np.stack([C - h, C + g, C + h, C - g], axis=1))
 
     def __len__(self) -> int:
         return len(self.planes)
@@ -314,9 +332,9 @@ def _span_frame(span_x: np.ndarray, span_y: np.ndarray) -> tuple[Basis, np.ndarr
     and their normalised cross product, and the half edge lengths."""
     nx, ny = np.linalg.norm(span_x), np.linalg.norm(span_y)
     bx, by = span_x / nx, span_y / ny
-    bz = np.cross(bx, by)
+    bz = cross3(bx, by)
     bz /= np.linalg.norm(bz)
-    return Basis(np.column_stack([bx, by, bz])), _readonly(0.5 * np.array([nx, ny]))
+    return Basis(np.array([bx, by, bz]).T), _readonly(0.5 * np.array([nx, ny]))
 
 
 def plane_basis(p: Plane) -> Basis:

@@ -22,6 +22,7 @@ from .geometry import (
     Plane,
     PlaneSet,
     Pose,
+    cross3,
     from_basis,
     plane_basis,
     to_basis,
@@ -80,8 +81,7 @@ def _gate_matrix(planes: PlaneSet, params: "MappingParams") -> np.ndarray:
     n = len(planes)
     if n == 0:
         return np.zeros((0, 0), dtype=bool)
-    N, C, B = planes.normals, planes.centers, planes.bases
-    corners = np.stack([p.corners() for p in planes])
+    N, C, B, corners = planes.normals, planes.centers, planes.bases, planes.corners
 
     g1 = np.abs(N @ N.T) > params.coplanar_threshold
     dots = N @ C.T
@@ -217,10 +217,10 @@ def _fuse_perpendicular(planes: list[Plane], params: MappingParams) -> list[Plan
     for i, j in _proximity_pairs(PlaneSet(planes), params.edge_fuse_distance):
         a, b = planes[i], planes[j]
         if abs(float(a.normal @ b.normal)) <= 0.1:
-            u = np.cross(a.normal, b.normal)
+            u = cross3(a.normal, b.normal)
             u /= np.linalg.norm(u)
             # a point on the intersection line of the two infinite planes
-            A = np.stack([a.normal, b.normal, u])
+            A = np.array([a.normal, b.normal, u])
             rhs = np.array([a.distance_to_origin, b.distance_to_origin, 0.0])
             point = np.linalg.solve(A, rhs)
 
@@ -273,7 +273,7 @@ def _fuse_parallel(planes: list[Plane], params: MappingParams) -> list[Plane]:
             Ba = plane_basis(a)
             # b's box axes must align with a's for an extent-only adjustment
             Bb = plane_basis(b)
-            align = to_basis(np.stack([Bb.b_x, Bb.b_y]), Ba)
+            align = to_basis(np.array([Bb.b_x, Bb.b_y]), Ba)
             if np.max(np.abs(align[:, :2]), axis=0).min() < params.axis_alignment:
                 continue
             lo_a, hi_a = _box_in_basis(a, Ba)

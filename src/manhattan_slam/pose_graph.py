@@ -10,8 +10,10 @@ before it enters the graph.
 
 Optimization is Gauss-Newton on the manifold with node 0 held fixed. Edge
 errors are 6-vectors (rotation vector of the rotation discrepancy stacked
-with the translation discrepancy); Jacobians are central finite differences
-of that error, which keeps them exactly consistent with the objective.
+with the translation discrepancy). Errors and their analytic SE(3)
+Jacobians are computed stacked over all edges, and the normal equations are
+assembled and factored as a sparse block system (as in g2o, Kuemmerle et
+al., ICRA 2011).
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import splu
 from scipy.spatial.transform import Rotation
 
 from .geometry import (
@@ -27,7 +31,6 @@ from .geometry import (
     Pose,
     compose,
     orthonormalize,
-    so3_exp,
     so3_log,
 )
 from .registration import (
@@ -120,14 +123,96 @@ def registration_to_relative(parent_pose: Pose, rotation: np.ndarray,
 
 def edge_error(measured: Pose, pose_i: Pose, pose_j: Pose) -> np.ndarray:
     """6-vector discrepancy between a measured and predicted relative pose."""
-    return _edge_error_raw(measured.R, measured.t,
-                           pose_i.R, pose_i.t, pose_j.R, pose_j.t)
+    return _edge_errors(measured.R[None], measured.t[None], pose_i.R[None],
+                        pose_i.t[None], pose_j.R[None], pose_j.t[None])[0]
 
 
-def _edge_error_raw(mR, mt, Ri, ti, Rj, tj) -> np.ndarray:
-    pred_R = Rj @ Ri.T
-    pred_t = Ri.T @ (tj - ti)
-    return np.concatenate([so3_log(mR.T @ pred_R), pred_t - mt])
+def _edge_errors(mR, mt, Ri, ti, Rj, tj) -> np.ndarray:
+    """(m, 6) edge errors ``[log(mR^T Rj Ri^T), Ri^T (tj - ti) - mt]``."""
+    RiT = Ri.transpose(0, 2, 1)
+    phi = _so3_log_stack(mR.transpose(0, 2, 1) @ Rj @ RiT)
+    pred_t = (RiT @ (tj - ti)[..., None])[..., 0]
+    return np.concatenate([phi, pred_t - mt], axis=1)
+
+
+def _chi2(edges, Rs, ts) -> float:
+    """Weighted squared error over stacked edges at node poses (Rs, ts)."""
+    mR, mt, info, ends = edges
+    err = _edge_errors(mR, mt, Rs[ends[:, 0]], ts[ends[:, 0]],
+                       Rs[ends[:, 1]], ts[ends[:, 1]])
+    return float(np.einsum("ma,mab,mb->m", err, info, err).sum())
+
+
+def _edge_jacobians(mR, Ri, ti, tj, phi) -> tuple[np.ndarray, np.ndarray]:
+    """(m, 6, 6) Jacobians of :func:`_edge_errors` with respect to nodes i
+    and j, under the update ``R <- exp(dtheta) R``, ``t <- t + dt`` with the
+    node increment ordered ``[dtheta, dt]``; ``phi`` is the rotation error.
+
+    With ``Jl^-1`` the inverse left Jacobian of SO(3) at ``phi``:
+    ``de_r/dtheta_j = Jl^-1 mR^T``, ``de_r/dtheta_i = -Jl^-1^T``,
+    ``de_t/dtheta_i = Ri^T [tj - ti]x``, ``de_t/dt_i = -Ri^T`` and
+    ``de_t/dt_j = Ri^T`` (Sola et al., arXiv:1812.01537).
+    """
+    m = len(phi)
+    RiT = Ri.transpose(0, 2, 1)
+    Jl_inv = _so3_left_jacobian_inv_stack(phi)
+    Ji = np.zeros((m, 6, 6))
+    Jj = np.zeros((m, 6, 6))
+    Ji[:, :3, :3] = -Jl_inv.transpose(0, 2, 1)
+    Ji[:, 3:, :3] = RiT @ _skew_stack(tj - ti)
+    Ji[:, 3:, 3:] = -RiT
+    Jj[:, :3, :3] = Jl_inv @ mR.transpose(0, 2, 1)
+    Jj[:, 3:, 3:] = RiT
+    return Ji, Jj
+
+
+def _skew_stack(v: np.ndarray) -> np.ndarray:
+    """(k, 3, 3) skew-symmetric matrices of (k, 3) vectors."""
+    S = np.zeros((len(v), 3, 3))
+    S[:, 0, 1], S[:, 0, 2] = -v[:, 2], v[:, 1]
+    S[:, 1, 0], S[:, 1, 2] = v[:, 2], -v[:, 0]
+    S[:, 2, 0], S[:, 2, 1] = -v[:, 1], v[:, 0]
+    return S
+
+
+def _so3_exp_stack(w: np.ndarray) -> np.ndarray:
+    """:func:`so3_exp` of each row of a (k, 3) array, as (k, 3, 3)."""
+    angle = np.linalg.norm(w, axis=1)
+    small = angle < 1e-10
+    safe = np.where(small, 1.0, angle)
+    a = np.where(small, 1.0, np.sin(safe) / safe)[:, None, None]
+    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / safe**2)[:, None, None]
+    W = _skew_stack(w)
+    return np.eye(3) + a * W + b * (W @ W)
+
+
+def _so3_log_stack(R: np.ndarray) -> np.ndarray:
+    """:func:`so3_log` of each matrix of a (k, 3, 3) stack, as (k, 3)."""
+    cos_angle = np.clip(0.5 * (np.trace(R, axis1=1, axis2=2) - 1.0), -1.0, 1.0)
+    angle = np.arccos(cos_angle)
+    axis_raw = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0],
+                         R[:, 1, 0] - R[:, 0, 1]], axis=1)
+    small = angle < 1e-10
+    safe = np.where(small, 1.0, angle)
+    scale = np.where(small, 0.5, 0.5 * safe / np.sin(safe))
+    out = scale[:, None] * axis_raw
+    for k in np.flatnonzero(np.pi - angle < 1e-6):
+        out[k] = so3_log(R[k])    # axis from the diagonal near pi
+    return out
+
+
+def _so3_left_jacobian_inv_stack(phi: np.ndarray) -> np.ndarray:
+    """(k, 3, 3) inverse left Jacobians of SO(3) at the rows of ``phi``:
+    ``I - [phi]x / 2 + c(theta) [phi]x^2`` with
+    ``c = 1/theta^2 - (1 + cos theta) / (2 theta sin theta)``, whose series
+    ``1/12 + theta^2/720`` takes over at small angles."""
+    theta = np.linalg.norm(phi, axis=1)
+    small = theta < 1e-4
+    safe = np.where(small, 1.0, theta)
+    c = np.where(small, 1.0 / 12.0 + theta**2 / 720.0,
+                 1.0 / safe**2 - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe)))
+    P = _skew_stack(phi)
+    return np.eye(3) - 0.5 * P + c[:, None, None] * (P @ P)
 
 
 class PoseGraph:
@@ -214,18 +299,12 @@ class PoseGraph:
         return edge
 
     def chi2(self) -> float:
-        total = 0.0
-        for e in self.edges:
-            err = edge_error(e.relative, self.nodes[e.from_id].pose,
-                             self.nodes[e.to_id].pose)
-            total += float(err @ e.information @ err)
-        return total
+        return _chi2(self._edge_arrays(), *self._pose_arrays())
 
     def has_loop_edges(self) -> bool:
         return any(e.kind == "loop_closure" for e in self.edges)
 
-    def optimize(self, max_iterations: int = 100, tol: float = 1e-9,
-                 fd_step: float = 1e-6) -> OptimizeResult:
+    def optimize(self, max_iterations: int = 100, tol: float = 1e-9) -> OptimizeResult:
         """Gauss-Newton over all node poses except node 0 (gauge fixed).
 
         No-op without a loop closure edge (an odometry chain is already
@@ -237,90 +316,57 @@ class PoseGraph:
             return OptimizeResult(False, self.chi2(), [self.chi2()], 0, True)
 
         n = len(self.nodes)
-        Rs = [np.array(node.pose.R) for node in self.nodes]
-        ts = [np.array(node.pose.t) for node in self.nodes]
         dim = 6 * (n - 1)
+        Rs, ts = self._pose_arrays()
+        edges = self._edge_arrays()
+        mR, mt, info, ends = edges
+        # H and g slots: node k > 0 owns rows 6(k-1)..6(k-1)+5; node 0 owns none
+        free = ends > 0
+        base = 6 * (ends - 1)
+        six = np.arange(6)
+        g_rows = (base[:, :, None] + six)[free].ravel()
+        block = free[:, :, None] & free[:, None, :]
+        H_rows = np.broadcast_to(base[:, :, None, None, None] + six[:, None],
+                                 (*block.shape, 6, 6))[block].ravel()
+        H_cols = np.broadcast_to(base[:, None, :, None, None] + six,
+                                 (*block.shape, 6, 6))[block].ravel()
 
-        def slot(node_id: int) -> int:
-            return 6 * (node_id - 1)
-
-        def raw_chi2() -> float:
-            total = 0.0
-            for e in self.edges:
-                err = _edge_error_raw(e.relative.R, e.relative.t,
-                                      Rs[e.from_id], ts[e.from_id],
-                                      Rs[e.to_id], ts[e.to_id])
-                total += float(err @ e.information @ err)
-            return total
-
-        def perturbed(node_id: int, delta: np.ndarray):
-            R = so3_exp(delta[:3]) @ Rs[node_id]
-            t = ts[node_id] + delta[3:]
-            return R, t
-
-        chi2_history = [raw_chi2()]
+        chi2_history = [_chi2(edges, Rs, ts)]
         converged = False
         aborted = False
         iterations = 0
         for _ in range(max_iterations):
             iterations += 1
-            H = np.zeros((dim, dim))
-            g = np.zeros(dim)
-            for e in self.edges:
-                i, j = e.from_id, e.to_id
-                err = _edge_error_raw(e.relative.R, e.relative.t,
-                                      Rs[i], ts[i], Rs[j], ts[j])
-                blocks = []
-                ids = []
-                for node_id in (i, j):
-                    if node_id == 0:
-                        continue
-                    J = np.zeros((6, 6))
-                    for d in range(6):
-                        delta = np.zeros(6)
-                        delta[d] = fd_step
-                        Rp, tp = perturbed(node_id, delta)
-                        Rm, tm = perturbed(node_id, -delta)
-                        if node_id == i:
-                            ep = _edge_error_raw(e.relative.R, e.relative.t,
-                                                 Rp, tp, Rs[j], ts[j])
-                            em = _edge_error_raw(e.relative.R, e.relative.t,
-                                                 Rm, tm, Rs[j], ts[j])
-                        else:
-                            ep = _edge_error_raw(e.relative.R, e.relative.t,
-                                                 Rs[i], ts[i], Rp, tp)
-                            em = _edge_error_raw(e.relative.R, e.relative.t,
-                                                 Rs[i], ts[i], Rm, tm)
-                        J[:, d] = (ep - em) / (2.0 * fd_step)
-                    blocks.append(J)
-                    ids.append(node_id)
-                for a, Ja in zip(ids, blocks):
-                    sa = slot(a)
-                    g[sa:sa + 6] += Ja.T @ e.information @ err
-                    for b, Jb in zip(ids, blocks):
-                        sb = slot(b)
-                        H[sa:sa + 6, sb:sb + 6] += Ja.T @ e.information @ Jb
+            Ri, ti = Rs[ends[:, 0]], ts[ends[:, 0]]
+            Rj, tj = Rs[ends[:, 1]], ts[ends[:, 1]]
+            err = _edge_errors(mR, mt, Ri, ti, Rj, tj)
+            J = np.stack(_edge_jacobians(mR, Ri, ti, tj, err[:, :3]), axis=1)
+            JtO = J.transpose(0, 1, 3, 2) @ info[:, None]           # (m, 2, 6, 6)
+            H_blocks = JtO[:, :, None] @ J[:, None]                 # (m, 2, 2, 6, 6)
+            g_blocks = (JtO @ err[:, None, :, None])[..., 0]        # (m, 2, 6)
+            H = coo_matrix((H_blocks[block].ravel(), (H_rows, H_cols)),
+                           shape=(dim, dim)).tocsc()
+            g = np.bincount(g_rows, g_blocks[free].ravel(), minlength=dim)
             try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
+                step = splu(H).solve(-g).reshape(n - 1, 6)
+            except RuntimeError:      # SuperLU: "Factor is exactly singular"
                 aborted = True
                 break
 
-            saved = ([R.copy() for R in Rs], [t.copy() for t in ts])
             scale = 1.0
             improved = False
             for _ in range(11):
-                for node_id in range(1, n):
-                    s = slot(node_id)
-                    Rs[node_id], ts[node_id] = perturbed(node_id, scale * step[s:s + 6])
-                    if np.max(np.abs(Rs[node_id].T @ Rs[node_id] - np.eye(3))) > 1e-12:
-                        Rs[node_id] = orthonormalize(Rs[node_id])
-                new_chi2 = raw_chi2()
+                R_new, t_new = Rs.copy(), ts.copy()
+                R_new[1:] = _so3_exp_stack(scale * step[:, :3]) @ Rs[1:]
+                t_new[1:] = ts[1:] + scale * step[:, 3:]
+                drift = np.abs(R_new[1:].transpose(0, 2, 1) @ R_new[1:] - np.eye(3))
+                for k in 1 + np.flatnonzero(drift.max(axis=(1, 2)) > 1e-12):
+                    R_new[k] = orthonormalize(R_new[k])
+                new_chi2 = _chi2(edges, R_new, t_new)
                 if new_chi2 <= chi2_history[-1]:
+                    Rs, ts = R_new, t_new
                     improved = True
                     break
-                Rs = [R.copy() for R in saved[0]]
-                ts = [t.copy() for t in saved[1]]
                 scale *= 0.5
             if not improved:
                 converged = True
@@ -332,9 +378,22 @@ class PoseGraph:
 
         if not aborted:
             for node_id in range(1, n):
-                self.nodes[node_id].pose = Pose(Rs[node_id], ts[node_id])
+                self.nodes[node_id].pose = Pose(Rs[node_id].copy(), ts[node_id].copy())
         return OptimizeResult(True, self.chi2(), chi2_history, iterations,
                               converged, aborted)
+
+    def _pose_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array([node.pose.R for node in self.nodes]),
+                np.array([node.pose.t for node in self.nodes]))
+
+    def _edge_arrays(self):
+        """Edge measurements and information stacked, and (from, to) ids."""
+        mR = np.array([e.relative.R for e in self.edges]).reshape(-1, 3, 3)
+        mt = np.array([e.relative.t for e in self.edges]).reshape(-1, 3)
+        info = np.array([e.information for e in self.edges]).reshape(-1, 6, 6)
+        ends = np.array([(e.from_id, e.to_id) for e in self.edges],
+                        dtype=np.intp).reshape(-1, 2)
+        return mR, mt, info, ends
 
     def dumps(self) -> str:
         """Edge-list text dump: VERTEX/EDGE lines with w-last quaternions."""

@@ -24,6 +24,31 @@ def random_rotation(rng: np.random.Generator, max_angle: float = np.pi) -> np.nd
     return Rotation.from_rotvec(angle * axis).as_matrix()
 
 
+def edge_error_ref(mR, mt, Ri, ti, Rj, tj) -> np.ndarray:
+    """Pose-graph edge error ``[log(mR^T Rj Ri^T), Ri^T (tj - ti) - mt]``,
+    with the rotation vector taken by scipy."""
+    rot = Rotation.from_matrix(mR.T @ Rj @ Ri.T).as_rotvec()
+    return np.concatenate([rot, Ri.T @ (tj - ti) - mt])
+
+
+def edge_jacobians_fd(mR, mt, Ri, ti, Rj, tj, step: float = 1e-6):
+    """Central-difference Jacobians (6x6 each) of :func:`edge_error_ref`
+    with respect to node i and node j, for the increment ``[dtheta, dt]``
+    applied as ``R <- exp(dtheta) R``, ``t <- t + dt``."""
+    def moved(R, t, x):
+        return Rotation.from_rotvec(x[:3]).as_matrix() @ R, t + x[3:]
+
+    def error(xi, xj):
+        return edge_error_ref(mR, mt, *moved(Ri, ti, xi), *moved(Rj, tj, xj))
+
+    zero = np.zeros(6)
+    Ji = np.column_stack([(error(d, zero) - error(-d, zero)) / (2.0 * step)
+                          for d in step * np.eye(6)])
+    Jj = np.column_stack([(error(zero, d) - error(zero, -d)) / (2.0 * step)
+                          for d in step * np.eye(6)])
+    return Ji, Jj
+
+
 def circumcircle(p0, p1, p2):
     """Center and squared radius of the circle through three 2D points.
 

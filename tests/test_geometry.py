@@ -11,6 +11,7 @@ from manhattan_slam.geometry import (
     PointCloud,
     Pose,
     compose,
+    cross3,
     from_basis,
     plane_basis,
     relative_pose,
@@ -218,6 +219,20 @@ class TestSo3:
         assert np.allclose(so3_log(so3_exp(w)), w, atol=1e-15)
 
 
+# finite coordinates whose products and their differences cannot overflow
+coordinate = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+vec3 = st.lists(coordinate, min_size=3, max_size=3).map(np.array)
+
+
+class TestCross3:
+    @given(vec3, vec3)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_bit_for_bit(self, a, b):
+        got, want = cross3(a, b), np.cross(a, b)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestContainers:
     def test_point_cloud_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -239,12 +254,15 @@ class TestContainers:
             assert np.array_equal(ps.bases[i][:, 2], ps.normals[i])
             assert np.array_equal(ps.half_extents[i], 0.5 * np.array(
                 [np.linalg.norm(p.span_x), np.linalg.norm(p.span_y)]))
-        for a in (ps.bases, ps.half_extents, ps.normals, ps.centers, ps.distances):
+            assert np.array_equal(ps.corners[i], p.corners())
+        for a in (ps.bases, ps.half_extents, ps.normals, ps.centers, ps.distances,
+                  ps.corners):
             assert not a.flags.writeable
         empty = PlaneSet()
         assert empty.bases.shape == (0, 3, 3)
         assert empty.half_extents.shape == (0, 2)
         assert empty.normals.shape == (0, 3)
+        assert empty.corners.shape == (0, 4, 3)
 
     def test_plane_set_transform_matches_plane_transform(self):
         rng = np.random.default_rng(6)

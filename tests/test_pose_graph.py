@@ -1,3 +1,6 @@
+import copy
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,17 +12,19 @@ from manhattan_slam.geometry import (
     relative_pose,
     rot_z,
     rotation_angle_between,
+    so3_exp,
 )
 from manhattan_slam.pose_graph import (
     GraphEdge,
     PoseGraph,
+    _edge_jacobians,
     edge_error,
     registration_to_relative,
 )
 from manhattan_slam.registration import RegistrationParams, register
 from manhattan_slam.simulator import raycast_scan, standard_lidar_config, standard_scene
 
-from oracles import random_rotation
+from oracles import edge_error_ref, edge_jacobians_fd, random_rotation
 
 
 def random_pose(rng):
@@ -136,6 +141,31 @@ class TestRegistrationToRelative:
             assert np.allclose(out.t, child.t, atol=1e-9)
 
 
+class TestEdgeJacobians:
+    @pytest.mark.parametrize("angle", [0.0, 1e-6, 1e-3, 0.3, 1.0, 2.0, 2.5])
+    def test_analytic_blocks_match_finite_differences(self, angle):
+        # measured relatives chosen so that the rotation error has the given
+        # size; zero takes the small-angle series of the inverse Jacobian
+        rng = np.random.default_rng(int(angle * 1e6) + 17)
+        for _ in range(5):
+            pi, pj = random_pose(rng), random_pose(rng)
+            axis = rng.normal(size=3)
+            phi = angle * axis / np.linalg.norm(axis)
+            mR = pj.R @ pi.R.T @ so3_exp(-phi)
+            mt = pi.R.T @ (pj.t - pi.t) - rng.uniform(-0.5, 0.5, 3)
+            measured = Pose(mR, mt)
+            err = edge_error(measured, pi, pj)
+            ref = edge_error_ref(measured.R, measured.t, pi.R, pi.t, pj.R, pj.t)
+            assert np.allclose(err, ref, atol=1e-9)
+            assert abs(np.linalg.norm(err[:3]) - angle) < 1e-9
+            Ji, Jj = _edge_jacobians(measured.R[None], pi.R[None], pi.t[None],
+                                     pj.t[None], err[None, :3])
+            Fi, Fj = edge_jacobians_fd(measured.R, measured.t, pi.R, pi.t,
+                                       pj.R, pj.t)
+            assert np.allclose(Ji[0], Fi, rtol=0, atol=1e-6)
+            assert np.allclose(Jj[0], Fj, rtol=0, atol=1e-6)
+
+
 class TestOptimize:
     def noisy_square_graph(self, sigma_t=0.05, sigma_r=0.01, seed=0):
         """Square loop with odometry noise and one exact closure edge."""
@@ -209,6 +239,32 @@ class TestOptimize:
         g.optimize()
         assert np.array_equal(R0, g.pose(0).R)
         assert np.array_equal(t0, g.pose(0).t)
+
+    def test_singular_system_aborts_with_poses_untouched(self):
+        zero = np.zeros((6, 6))
+        g = PoseGraph()
+        for _ in range(12):
+            g.add_frame(PlaneSet(), Pose(rot_z(0.1), [1.0, 0.2, 0.0]), zero)
+        g.edges.append(GraphEdge(0, 12, Pose(np.eye(3), [0.5, 0.0, 0.0]),
+                                 "loop_closure", zero))
+        before = [(np.array(p.R), np.array(p.t)) for p in g.poses()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = g.optimize()
+        assert result.performed and result.aborted
+        for (R, t), p in zip(before, g.poses()):
+            assert np.array_equal(R, p.R)
+            assert np.array_equal(t, p.t)
+
+    def test_repeat_solves_are_bitwise_equal(self):
+        g, _ = self.noisy_square_graph(seed=2)
+        a, b = copy.deepcopy(g), copy.deepcopy(g)
+        ra, rb = a.optimize(), b.optimize()
+        assert ra.chi2_history == rb.chi2_history
+        assert ra.final_chi2 == rb.final_chi2
+        for p, q in zip(a.poses(), b.poses()):
+            assert np.array_equal(p.R, q.R)
+            assert np.array_equal(p.t, q.t)
 
     def test_rotations_stay_orthonormal(self):
         g, _ = self.noisy_square_graph(seed=7)
