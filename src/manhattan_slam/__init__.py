@@ -23,8 +23,7 @@ from .extraction import ExtractionParams, extract, extract_detailed
 from .registration import RegistrationParams, RegistrationResult, register
 from .pose_graph import PoseGraph
 from .mapping import MappingParams, PlaneMap, load_map, regenerate, save_map
-from .planning import Bounds, Segment, Tree, rrt_build, segment_collides, \
-    segment_plane_intersect
+from .planning import Bounds, Segment, Tree, rrt_build, segment_collides
 from .simulator import (
     Box,
     BoxScene,

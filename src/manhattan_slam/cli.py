@@ -137,7 +137,10 @@ def _cmd_plan(args) -> int:
         vals = [float(v) for v in args.bounds.split(",")]
         bounds = Bounds(np.array(vals[:3]), np.array(vals[3:]))
     else:
-        corners = np.vstack([p.corners() for p in plane_map.planes])
+        if len(plane_map) == 0:
+            raise PipelineError(f"map {args.map} has no planes to take the "
+                                "sampling bounds from; pass --bounds")
+        corners = plane_map.planes.corners.reshape(-1, 3)
         bounds = Bounds(corners.min(axis=0) - 1.0, corners.max(axis=0) + 1.0)
     start = np.array([float(v) for v in args.start.split(",")])
     tree = rrt_build(plane_map, start, bounds, args.n_nodes, args.step,

@@ -3,8 +3,8 @@
 Pipeline: reparameterize points in spherical angles, Delaunay-triangulate
 the angle chart (duplicating a band across the azimuth seam for 360-degree
 scans), prune long 3D edges, Laplacian-smooth the meshed points, compute
-sensor-facing triangle normals, grow normal-similar clusters by
-breadth-first search over the mesh, find the scene's orthogonal basis from
+sensor-facing triangle normals, grow normal-similar clusters over the
+mesh's neighbor table, find the scene's orthogonal basis from
 the ground and the dominant wall, and fit an axis-aligned 2D bounding box
 per cluster in that basis.
 """
@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph
 from scipy.spatial import Delaunay, QhullError
 
 from .geometry import Basis, Plane, PlaneSet, PointCloud, from_basis, to_basis
@@ -101,7 +100,7 @@ class TriangleMesh:
     """Triangles over cloud indices with edge-sharing adjacency."""
 
     triangles: np.ndarray      # (M, 3) int, indices into the cloud
-    neighbors: np.ndarray      # (M, 3) int, -1 padding
+    neighbors: np.ndarray      # (M, K) int, all edge-sharing triangles, -1 pad
     normals: Optional[np.ndarray] = None   # (M, 3) unit, sensor-facing
 
     def __len__(self) -> int:
@@ -145,11 +144,15 @@ def spherical_project(cloud: PointCloud) -> SphericalAngles:
 
 
 def _adjacency_from_triangles(triangles: np.ndarray) -> np.ndarray:
-    """Edge-sharing neighbor table, (M, 3) with -1 padding."""
+    """Edge-sharing neighbor table, (M, K) with -1 padding.
+
+    Row i lists every triangle that shares an edge with triangle i, so the
+    table is symmetric; K is the largest neighbor count. Edges in the
+    doubly meshed seam band can carry more than two triangles.
+    """
     m = triangles.shape[0]
-    nbr = np.full((m, 3), -1, dtype=np.int64)
     if m == 0:
-        return nbr
+        return np.full((0, 0), -1, dtype=np.int64)
     edges = triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
     edges.sort(axis=1)
     owner = np.repeat(np.arange(m), 3)
@@ -158,21 +161,39 @@ def _adjacency_from_triangles(triangles: np.ndarray) -> np.ndarray:
     keys = edges[:, 0].astype(np.int64) * base + edges[:, 1]
     order = np.argsort(keys, kind="stable")
     ks, os_ = keys[order], owner[order]
-    same = ks[1:] == ks[:-1]
-    a, b = os_[:-1][same], os_[1:][same]
+    # every pair of owners within one edge's run of equal keys
+    a, b = [], []
+    for gap in range(1, ks.size):
+        same = ks[gap:] == ks[:-gap]
+        a.append(os_[:-gap][same])
+        b.append(os_[gap:][same])
+        if not same.any():
+            break
 
-    rows = np.concatenate([a, b])
-    vals = np.concatenate([b, a])
+    rows = np.concatenate(a + b)
+    vals = np.concatenate(b + a)
     idx = np.argsort(rows, kind="stable")
     rows, vals = rows[idx], vals[idx]
-    if rows.size:
-        first = np.r_[True, rows[1:] != rows[:-1]]
-        starts = np.flatnonzero(first)
-        counts = np.diff(np.r_[starts, rows.size])
-        slot = np.arange(rows.size) - np.repeat(starts, counts)
-        keep = slot < 3
-        nbr[rows[keep], slot[keep]] = vals[keep]
+    counts = np.bincount(rows, minlength=m)
+    starts = np.cumsum(counts) - counts
+    nbr = np.full((m, int(counts.max())), -1, dtype=np.int64)
+    nbr[rows, np.arange(rows.size) - starts[rows]] = vals
     return nbr
+
+
+def _keep_triangles(mesh: TriangleMesh, keep: np.ndarray,
+                    normals: Optional[np.ndarray]) -> TriangleMesh:
+    """The kept triangles, with their rows of the neighbor table renumbered.
+
+    Dropped neighbors become -1 padding, so each row keeps exactly its
+    surviving edge-sharing neighbors: the table a rebuild would give.
+    """
+    kept = np.flatnonzero(keep)
+    # one spare trailing slot, so -1 padding is looked up as -1
+    renumber = np.full(len(mesh) + 1, -1, dtype=np.int64)
+    renumber[kept] = np.arange(kept.size)
+    return TriangleMesh(mesh.triangles[kept], renumber[mesh.neighbors[kept]],
+                        normals)
 
 
 def triangulate(angles: SphericalAngles, seam_margin: float = 0.35) -> TriangleMesh:
@@ -181,7 +202,8 @@ def triangulate(angles: SphericalAngles, seam_margin: float = 0.35) -> TriangleM
     A flat chart tears 360-degree scans at theta = +-pi, so points within
     ``seam_margin`` of -pi are duplicated shifted by +2 pi before
     triangulating; the duplicates are then folded back onto their originals
-    and repeated triangles removed. Adjacency is rebuilt from shared edges.
+    and repeated triangles removed. The neighbor table is built here, once
+    per scan; later stages only drop and renumber its rows.
     """
     idx = np.flatnonzero(angles.valid)
     if idx.size < 3:
@@ -232,9 +254,8 @@ def prune_mesh(mesh: TriangleMesh, cloud: PointCloud, max_edge: float) -> Triang
     keep = (e01 <= max_edge) & (e12 <= max_edge) & (e20 <= max_edge)
     if keep.all():
         return mesh
-    tris = mesh.triangles[keep]
     normals = mesh.normals[keep] if mesh.normals is not None else None
-    return TriangleMesh(tris, _adjacency_from_triangles(tris), normals)
+    return _keep_triangles(mesh, keep, normals)
 
 
 def smooth_laplacian(cloud: PointCloud, mesh: TriangleMesh, iterations: int,
@@ -280,89 +301,53 @@ def compute_normals(mesh: TriangleMesh, cloud: PointCloud,
     raw = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
     norms = np.linalg.norm(raw, axis=1)
     keep = 0.5 * norms >= min_area
-    tris = mesh.triangles[keep]
     normals = raw[keep] / norms[keep][:, None]
     centroid = tv[keep].mean(axis=1)
     flip = np.einsum("ij,ij->i", normals, centroid) > 0.0
     normals[flip] = -normals[flip]
-    neighbors = mesh.neighbors if keep.all() else _adjacency_from_triangles(tris)
-    return TriangleMesh(tris, neighbors, normals)
+    if keep.all():
+        return TriangleMesh(mesh.triangles, mesh.neighbors, normals)
+    return _keep_triangles(mesh, keep, normals)
 
 
 def cluster_mesh(mesh: TriangleMesh, threshold: float,
                  min_cluster_size: int = 1) -> list[Cluster]:
-    """Grow clusters of normal-similar triangles by BFS over the mesh.
+    """Grow clusters of normal-similar triangles over the neighbor table.
 
-    Roots are taken in index order from the unclustered pool; a neighbor
-    joins the cluster when its normal's dot product with the root's normal
-    exceeds ``threshold``. Every triangle ends up in exactly one cluster;
-    clusters smaller than ``min_cluster_size`` are then discarded.
+    Roots are taken in index order from the unclustered pool; an unclustered
+    neighbor of a member joins the cluster when its normal's dot product with
+    the root's normal exceeds ``threshold``. The table is symmetric, so a
+    cluster is the root's connected component among the admissible
+    triangles, whatever the visiting order. Every triangle ends up in exactly
+    one cluster; clusters smaller than ``min_cluster_size`` are then
+    discarded.
     """
     if mesh.normals is None:
         raise ValueError("mesh needs normals before clustering")
     m = len(mesh)
     normals = mesh.normals
-    nbr = mesh.neighbors
-    in_q = np.ones(m, dtype=bool)
-    clusters: list[np.ndarray] = []
-
-    # CSR adjacency for the connected-components fast path; membership is
-    # order-independent (admission compares against the fixed root normal),
-    # so reachability over the static admissible set is exactly the BFS set.
-    rows = np.repeat(np.arange(m), nbr.shape[1])
-    cols = nbr.ravel()
-    valid = cols >= 0
-    graph = sp.csr_matrix(
-        (np.ones(int(valid.sum())), (rows[valid], cols[valid])), shape=(m, m))
-    big_cluster = 128
-
-    root_scan = 0
-    while True:
-        while root_scan < m and not in_q[root_scan]:
-            root_scan += 1
-        if root_scan >= m:
-            break
-        root = root_scan
-        in_q[root] = False
-        n_root = normals[root]
-        members = [root]
-        in_s = np.zeros(m, dtype=bool)
-        frontier = nbr[root]
-        frontier = frontier[frontier >= 0]
-        frontier = frontier[in_q[frontier]]
-        in_s[frontier] = True
-        while frontier.size:
-            if len(members) > big_cluster:
-                sub = (normals @ n_root > threshold) & in_q
-                sub[members] = True
-                sub_idx = np.flatnonzero(sub)
-                A = graph[sub_idx][:, sub_idx]
-                _, labels = sp.csgraph.connected_components(A, directed=False)
-                root_pos = int(np.searchsorted(sub_idx, root))
-                comp = sub_idx[labels == labels[root_pos]]
-                in_q[comp] = False
-                members = comp.tolist()
-                break
-            in_s[frontier] = False
-            frontier = frontier[in_q[frontier]]
-            accept = frontier[normals[frontier] @ n_root > threshold]
-            if accept.size:
-                members.extend(accept.tolist())
-                in_q[accept] = False
-                nxt = nbr[accept].ravel()
-                nxt = nxt[nxt >= 0]
-                nxt = np.unique(nxt)
-                nxt = nxt[in_q[nxt] & ~in_s[nxt]]
-                in_s[nxt] = True
-                frontier = nxt
-            else:
-                frontier = np.empty(0, dtype=np.int64)
-        clusters.append(np.sort(np.asarray(members, dtype=np.int64)))
+    nx, ny, nz = normals.T.tolist()
+    rows = mesh.neighbors.tolist()
+    # a trailing False slot: -1 padding reads it and is never admitted
+    free = [True] * m + [False]
 
     out = []
-    for tri_idx in clusters:
-        if tri_idx.size < min_cluster_size:
+    for root in range(m):
+        if not free[root]:
             continue
+        free[root] = False
+        rx, ry, rz = nx[root], ny[root], nz[root]
+        members = [root]
+        stack = [root]
+        while stack:
+            for j in rows[stack.pop()]:
+                if free[j] and nx[j] * rx + ny[j] * ry + nz[j] * rz > threshold:
+                    free[j] = False
+                    members.append(j)
+                    stack.append(j)
+        if len(members) < min_cluster_size:
+            continue
+        tri_idx = np.sort(np.asarray(members, dtype=np.int64))
         avg = normals[tri_idx].mean(axis=0)
         norm = np.linalg.norm(avg)
         if norm == 0.0:

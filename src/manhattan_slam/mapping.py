@@ -31,7 +31,6 @@ from .geometry import (
 __all__ = [
     "MappingParams",
     "PlaneMap",
-    "merge_condition",
     "merge_plane_sets",
     "cleanup_map",
     "update_map",
@@ -75,8 +74,10 @@ def _box_in_basis(p: Plane, B: Basis) -> tuple[np.ndarray, np.ndarray]:
 def _gate_matrix(planes: PlaneSet, params: "MappingParams") -> np.ndarray:
     """Ordered-pair merge-condition matrix over a plane set.
 
-    ``gate[i, j]`` is merge_condition(planes[i], planes[j]); row-major
-    argwhere order therefore matches a nested (i, j) scan.
+    ``gate[i, j]`` is True when plane j should merge into plane i: (1)
+    nearly parallel normals, (2) a small distance from j's center to i's
+    plane, and (3) overlapping 2D boxes when both are projected onto i's
+    frame. Row-major argwhere order therefore matches a nested (i, j) scan.
     """
     n = len(planes)
     if n == 0:
@@ -123,25 +124,6 @@ def _proximity_pairs(planes: PlaneSet, reach: float) -> np.ndarray:
     near &= close & close.T
     np.fill_diagonal(near, False)
     return np.argwhere(near)
-
-
-def merge_condition(ps: Plane, pt: Plane, params: Optional[MappingParams] = None) -> bool:
-    """True when two planes should merge.
-
-    (1) nearly parallel normals, (2) small point-to-plane distance, and
-    (3) overlapping 2D boxes when both are projected onto ``ps``'s frame.
-    """
-    params = params or MappingParams()
-    if abs(float(ps.normal @ pt.normal)) <= params.coplanar_threshold:
-        return False
-    if abs(float(ps.normal @ (pt.center - ps.center))) >= params.distance_threshold:
-        return False
-    B = plane_basis(ps)
-    lo_s, hi_s = _box_in_basis(ps, B)
-    lo_t, hi_t = _box_in_basis(pt, B)
-    # closed-interval overlap, with float slack so exact touching counts
-    return bool(np.all(np.minimum(hi_s[:2], hi_t[:2])
-                       >= np.maximum(lo_s[:2], lo_t[:2]) - 1e-9))
 
 
 def _merge_group(anchor: Plane, others: Sequence[Plane]) -> Plane:

@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -62,6 +62,22 @@ class ConfigError(ValueError):
     pass
 
 
+# JSON value types accepted per field type; bool is an int subclass in
+# Python, so it is rejected separately for numeric fields
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
+
+
+def _check_types(cls, values: dict, where: str) -> None:
+    """Raise ConfigError for a value whose type does not match its field."""
+    hints = get_type_hints(cls)
+    for key, value in values.items():
+        expected = hints[key]
+        if isinstance(value, bool) != (expected is bool) \
+                or not isinstance(value, _JSON_TYPES[expected]):
+            raise ConfigError(f"{where}.{key} must be {expected.__name__}, "
+                              f"got {type(value).__name__} {value!r}")
+
+
 @dataclass
 class PipelineConfig:
     """Every tunable of the pipeline, grouped per stage."""
@@ -99,6 +115,7 @@ class PipelineConfig:
             unknown = set(sub) - names
             if unknown:
                 raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+            _check_types(cls, sub, where)
             return cls(**sub)
 
         known_top = {"version", "extraction", "registration", "mapping", "pipeline"}
@@ -120,6 +137,7 @@ class PipelineConfig:
         unknown = set(pipe) - valid
         if unknown:
             raise ConfigError(f"unknown keys in pipeline: {sorted(unknown)}")
+        _check_types(PipelineConfig, pipe, "pipeline")
         for key, value in pipe.items():
             setattr(cfg, key, value)
         return cfg

@@ -14,13 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Plane, PlaneSet, plane_basis, to_basis
+from .geometry import PlaneSet
 
 __all__ = [
     "Segment",
     "Bounds",
     "Tree",
-    "segment_plane_intersect",
     "segment_collides",
     "rrt_build",
     "tree_to_dict",
@@ -75,32 +74,6 @@ class Tree:
             if p >= 0:
                 lengths[i] = np.linalg.norm(self.nodes[i] - self.nodes[p])
         return lengths
-
-
-def segment_plane_intersect(seg: Segment, p: Plane) -> Optional[np.ndarray]:
-    """Intersection point of a segment with a bounded plane, or None.
-
-    Both are projected to the plane's frame; there the plane sits at a fixed
-    third coordinate, so the crossing parameter is
-    ``c = (c_3 - a_3) / v_3`` with ``v = b - a``. A parallel segment
-    (``v_3 == 0``) never intersects; otherwise the crossing must satisfy
-    ``0 <= c <= 1`` and land inside the plane's 2D box (boundaries included).
-    """
-    B = plane_basis(p)
-    a = to_basis(seg.a, B)
-    b = to_basis(seg.b, B)
-    cB = to_basis(p.center, B)
-    v3 = b[2] - a[2]
-    if v3 == 0.0:
-        return None
-    c = (cB[2] - a[2]) / v3
-    if c < 0.0 or c > 1.0:
-        return None
-    x = a + c * (b - a)
-    hu, hv = p.half_extents
-    if abs(x[0] - cB[0]) > hu or abs(x[1] - cB[1]) > hv:
-        return None
-    return seg.a + c * (seg.b - seg.a)
 
 
 def _collides_batch(a: np.ndarray, b: np.ndarray, planes: PlaneSet,

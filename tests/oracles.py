@@ -1,15 +1,21 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything in here deliberately avoids the code paths under test: brute-force
-enumeration, dense sampling, and scipy reference routines only.
+enumeration, dense sampling, and scipy reference routines only. The scalar
+twins of batched program code (``merge_condition``,
+``segment_plane_intersect``, ``cluster_partition_ref``) share no more than the
+plane-frame helpers of ``manhattan_slam.geometry`` with it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.transform import Rotation
 
-from manhattan_slam.geometry import Plane
+from manhattan_slam.geometry import Plane, plane_basis, to_basis
+from manhattan_slam.mapping import MappingParams
 
 
 def rotation_angle_deg_quat(Ra: np.ndarray, Rb: np.ndarray) -> float:
@@ -159,3 +165,99 @@ def point_to_plane_patch_distance(x: np.ndarray, plane: Plane) -> float:
                 0.5 * np.linalg.norm(plane.span_y))
     closest = plane.center + u * bx + v * by + 0.0 * n
     return float(np.linalg.norm(x - closest))
+
+
+def merge_condition(ps: Plane, pt: Plane, params: MappingParams | None = None) -> bool:
+    """Scalar twin of ``mapping._gate_matrix``: True when two planes merge.
+
+    (1) nearly parallel normals, (2) small point-to-plane distance, and
+    (3) overlapping 2D boxes when both are projected onto ``ps``'s frame.
+    """
+    params = params or MappingParams()
+    if abs(float(ps.normal @ pt.normal)) <= params.coplanar_threshold:
+        return False
+    if abs(float(ps.normal @ (pt.center - ps.center))) >= params.distance_threshold:
+        return False
+    B = plane_basis(ps)
+    box_s = to_basis(ps.corners(), B)
+    box_t = to_basis(pt.corners(), B)
+    lo_s, hi_s = box_s.min(axis=0), box_s.max(axis=0)
+    lo_t, hi_t = box_t.min(axis=0), box_t.max(axis=0)
+    # closed-interval overlap, with float slack so exact touching counts
+    return bool(np.all(np.minimum(hi_s[:2], hi_t[:2])
+                       >= np.maximum(lo_s[:2], lo_t[:2]) - 1e-9))
+
+
+def segment_plane_intersect(seg, p: Plane):
+    """Scalar twin of ``planning._collides_batch``: the intersection point of
+    a segment with a bounded plane, or None.
+
+    Both are projected to the plane's frame; there the plane sits at a fixed
+    third coordinate, so the crossing parameter is
+    ``c = (c_3 - a_3) / v_3`` with ``v = b - a``. A parallel segment
+    (``v_3 == 0``) never intersects; otherwise the crossing must satisfy
+    ``0 <= c <= 1`` and land inside the plane's 2D box (boundaries included).
+    """
+    B = plane_basis(p)
+    a = to_basis(seg.a, B)
+    b = to_basis(seg.b, B)
+    cB = to_basis(p.center, B)
+    v3 = b[2] - a[2]
+    if v3 == 0.0:
+        return None
+    c = (cB[2] - a[2]) / v3
+    if c < 0.0 or c > 1.0:
+        return None
+    x = a + c * (b - a)
+    hu, hv = p.half_extents
+    if abs(x[0] - cB[0]) > hu or abs(x[1] - cB[1]) > hv:
+        return None
+    return seg.a + c * (seg.b - seg.a)
+
+
+def edge_neighbors_ref(triangles: np.ndarray) -> list[set]:
+    """Per triangle, the set of other triangles sharing one of its edges."""
+    by_edge = {}
+    for t, tri in enumerate(triangles.tolist()):
+        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            by_edge.setdefault((min(u, v), max(u, v)), []).append(t)
+    sets = [set() for _ in range(len(triangles))]
+    for owners in by_edge.values():
+        for t in owners:
+            sets[t].update(o for o in owners if o != t)
+    return sets
+
+
+def neighbor_sets(neighbors: np.ndarray) -> list[set]:
+    """Rows of a -1-padded neighbor table as sets."""
+    return [set(row[row >= 0].tolist()) for row in neighbors]
+
+
+def cluster_partition_ref(neighbors: np.ndarray, normals: np.ndarray,
+                          threshold: float) -> list[np.ndarray]:
+    """Root-normal clustering by connected components.
+
+    Roots are taken in index order from the unclustered triangles; a root's
+    cluster is its connected component (edges taken as undirected) among the
+    unclustered triangles whose normal's dot product with the root's normal
+    exceeds ``threshold``. Returns each cluster's sorted triangle indices.
+    """
+    m = len(normals)
+    rows = np.repeat(np.arange(m), neighbors.shape[1])
+    cols = neighbors.ravel()
+    rows, cols = rows[cols >= 0], cols[cols >= 0]
+    free = np.ones(m, dtype=bool)
+    clusters = []
+    for root in range(m):
+        if not free[root]:
+            continue
+        admit = free & (normals @ normals[root] > threshold)
+        admit[root] = True
+        edge = admit[rows] & admit[cols]
+        graph = sp.csr_matrix((np.ones(int(edge.sum())),
+                               (rows[edge], cols[edge])), shape=(m, m))
+        _, labels = connected_components(graph, directed=False)
+        members = np.flatnonzero(labels == labels[root])
+        free[members] = False
+        clusters.append(members)
+    return clusters

@@ -29,8 +29,7 @@ from manhattan_slam.pipeline import (
     run_slam,
     save_trajectory,
 )
-from manhattan_slam.planning import Bounds, Segment, rrt_build, segment_plane_intersect, \
-    tree_to_dict
+from manhattan_slam.planning import Bounds, Segment, rrt_build, tree_to_dict
 from manhattan_slam.registration import RegistrationError, register
 from manhattan_slam.simulator import (
     TrajectorySpec,
@@ -43,6 +42,7 @@ from manhattan_slam.simulator import (
 from oracles import (
     random_rotation,
     sampled_segment_plane_hit,
+    segment_plane_intersect,
     segment_segment_distance,
 )
 from test_registration import manhattan_plane_set

@@ -5,6 +5,7 @@ import pytest
 
 from manhattan_slam.cli import main
 from manhattan_slam.geometry import PointCloud
+from manhattan_slam.mapping import PlaneMap, save_map
 from manhattan_slam.pipeline import write_scans_dir
 from manhattan_slam.simulator import (
     LidarConfig,
@@ -79,3 +80,23 @@ def test_bad_config_rejected(room_scans_dir, tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
+
+
+def test_mistyped_config_value_rejected(tmp_path, capsys):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"extraction": {"max_edge": "2"}}))
+    rc = main(["run", "--scans-dir", str(tmp_path / "void"),
+               "--out", str(tmp_path / "o"), "--config", str(cfg)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "max_edge" in err["message"]
+
+
+def test_plan_on_empty_map_names_the_map(tmp_path, capsys):
+    map_path = tmp_path / "empty.json"
+    save_map(map_path, PlaneMap())
+    rc = main(["plan", "--map", str(map_path), "--out",
+               str(tmp_path / "tree.json")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PipelineError" and "no planes" in err["message"]

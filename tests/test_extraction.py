@@ -35,7 +35,12 @@ from manhattan_slam.simulator import (
     standard_scene,
 )
 
-from oracles import delaunay_empty_circumcircle_violations
+from oracles import (
+    cluster_partition_ref,
+    delaunay_empty_circumcircle_violations,
+    edge_neighbors_ref,
+    neighbor_sets,
+)
 
 
 # extraction profile suited to the closed room's dense wide-FOV scans
@@ -61,6 +66,13 @@ def grid_cloud_and_mesh(n: int = 5, z: float = 0.0):
             tris.append([a + 1, a + n + 1, a + n])
     tris = np.asarray(tris)
     return PointCloud(pts), TriangleMesh(tris, _adjacency_from_triangles(tris))
+
+
+def blocks_scan() -> PointCloud:
+    """A noisy full 360-degree scan of the blocks scene."""
+    scene, spec = standard_scene("blocks")
+    cfg = standard_lidar_config("blocks", range_noise_sigma=0.02)
+    return raycast_scan(scene, spec.waypoints[0], cfg, seed=1)
 
 
 class TestSphericalProject:
@@ -123,6 +135,15 @@ class TestTriangulate:
                 if j >= 0:
                     assert i in mesh.neighbors[j]
 
+    def test_neighbor_table_complete_on_360_scan(self):
+        # the seam band is meshed twice, so some edges carry three or more
+        # triangles; every one of them must list all the others
+        cloud = blocks_scan()
+        mesh = triangulate(spherical_project(cloud))
+        table = neighbor_sets(mesh.neighbors)
+        assert all(i in table[j] for i, row in enumerate(table) for j in row)
+        assert table == edge_neighbors_ref(mesh.triangles)
+
     def test_seam_duplication_connects_wrap_around(self):
         # A full 360-degree ring of points: without seam handling the chart
         # tears at theta = +-pi; with it, triangles must bridge the seam.
@@ -172,6 +193,29 @@ class TestPruneMesh:
             assert wall[t].all() or (~wall[t]).all()
         # and the wall kept a solid mesh
         assert sum(wall[t].all() for t in pruned.triangles) > 100
+
+
+class TestFilteredNeighborTable:
+    """prune_mesh and compute_normals filter the table; it must equal a
+    rebuild over the surviving triangles."""
+
+    def test_prune_equals_rebuild(self):
+        cloud = blocks_scan()
+        pruned = prune_mesh(triangulate(spherical_project(cloud)), cloud,
+                            max_edge=0.5)
+        assert neighbor_sets(pruned.neighbors) == \
+            neighbor_sets(_adjacency_from_triangles(pruned.triangles))
+
+    def test_compute_normals_equals_rebuild(self):
+        cloud = blocks_scan()
+        mesh = triangulate(spherical_project(cloud))
+        tv = cloud.points[mesh.triangles]
+        areas = 0.5 * np.linalg.norm(
+            np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]), axis=1)
+        out = compute_normals(mesh, cloud, min_area=float(np.median(areas)))
+        assert 0 < len(out) < len(mesh)
+        assert neighbor_sets(out.neighbors) == \
+            neighbor_sets(_adjacency_from_triangles(out.triangles))
 
 
 class TestSmoothing:
@@ -281,6 +325,29 @@ class TestClustering:
         assert len(clusters) >= 1
         total = sum(len(c.triangle_indices) for c in clusters)
         assert total == len(mesh)
+
+
+    @pytest.mark.parametrize("scene_name", ["blocks", "room"])
+    def test_matches_connected_components_oracle(self, scene_name):
+        if scene_name == "blocks":
+            cloud, params = blocks_scan(), ExtractionParams()
+        else:
+            scene, spec = standard_scene("room")
+            cloud = raycast_scan(scene, spec.waypoints[0],
+                                 standard_lidar_config("room"))
+            params = ExtractionParams(**ROOM_PARAMS)
+        mesh = prune_mesh(triangulate(spherical_project(cloud)), cloud,
+                          params.max_edge)
+        smoothed = smooth_laplacian(cloud, mesh, params.smoothing_iterations,
+                                    params.smoothing_weight)
+        mesh = compute_normals(mesh, smoothed)
+        clusters = cluster_mesh(mesh, params.cluster_threshold,
+                                min_cluster_size=1)
+        ref = cluster_partition_ref(mesh.neighbors, mesh.normals,
+                                    params.cluster_threshold)
+        assert len(clusters) == len(ref)
+        for c, r in zip(clusters, ref):
+            assert np.array_equal(c.triangle_indices, r)
 
 
 def make_cluster(normal, size=100) -> Cluster:

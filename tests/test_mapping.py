@@ -10,12 +10,14 @@ from manhattan_slam.mapping import (
     load_map,
     map_from_json,
     map_to_json,
-    merge_condition,
     merge_plane_sets,
     regenerate,
     save_map,
     update_map,
 )
+from manhattan_slam.mapping import _gate_matrix
+
+from oracles import merge_condition, random_rotation
 
 
 def square(center, normal_axis=2, size=(1.0, 1.0)) -> Plane:
@@ -44,6 +46,25 @@ class TestMergeCondition:
 
     def test_touching_boxes_overlap(self):
         assert merge_condition(square([0, 0, 0]), square([1.0, 0, 0]))
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_gate_matrix_matches_scalar_oracle(self, seed):
+        # near-coplanar, nearby squares, so every gate of the condition
+        # decides some pairs
+        rng = np.random.default_rng(seed)
+        planes = []
+        for _ in range(8):
+            p = square(rng.uniform(-0.6, 0.6, 3), int(rng.integers(0, 3)),
+                       rng.uniform(0.2, 1.5, 2))
+            R = random_rotation(rng, max_angle=np.radians(12.0))
+            planes.append(Plane(p.center, R @ p.span_x, R @ p.span_y))
+        params = MappingParams()
+        gate = _gate_matrix(PlaneSet(planes), params)
+        for i, p in enumerate(planes):
+            for j, q in enumerate(planes):
+                if i != j:
+                    assert gate[i, j] == merge_condition(p, q, params)
 
 
 class TestMergePlaneSets:

@@ -262,6 +262,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"pipeline": {"warp_speed": 9}})
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("extraction", "max_edge", "2"),
+        ("pipeline", "enable_loop_closure", "false"),
+        ("pipeline", "decimation", True),
+        ("pipeline", "loop_radius", False),
+        ("registration", "gn_max_iterations", 50.0),
+    ])
+    def test_mistyped_value_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig.from_dict({section: {key: value}})
+
+    def test_int_accepted_for_float(self):
+        cfg = PipelineConfig.from_dict({"extraction": {"max_edge": 2},
+                                        "pipeline": {"loop_radius": 7}})
+        assert cfg.extraction.max_edge == 2 and cfg.loop_radius == 7
+
     def test_unsupported_version_rejected(self):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"version": 2})

@@ -10,13 +10,13 @@ from manhattan_slam.planning import (
     Tree,
     rrt_build,
     segment_collides,
-    segment_plane_intersect,
     tree_to_dict,
 )
 
 from oracles import (
     random_rotation,
     sampled_segment_plane_hit,
+    segment_plane_intersect,
     segment_segment_distance,
 )
 

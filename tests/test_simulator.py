@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from manhattan_slam.geometry import PointCloud, Pose, rot_z
-from manhattan_slam.planning import Segment, segment_plane_intersect
+from manhattan_slam.planning import Segment
 from manhattan_slam.simulator import (
     Box,
     BoxScene,
@@ -18,7 +18,7 @@ from manhattan_slam.simulator import (
     standard_scene,
 )
 
-from oracles import point_to_plane_patch_distance
+from oracles import point_to_plane_patch_distance, segment_plane_intersect
 
 
 def single_wall_scene() -> BoxScene:
