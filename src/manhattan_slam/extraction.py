@@ -327,7 +327,11 @@ def cluster_mesh(mesh: TriangleMesh, threshold: float,
     m = len(mesh)
     normals = mesh.normals
     nx, ny, nz = normals.T.tolist()
-    rows = mesh.neighbors.tolist()
+    # one flat list of ints, row i at [i * k, (i + 1) * k): a list per row
+    # would put one container per triangle under the cyclic garbage
+    # collector's watch and trigger full collections every few scans
+    k = mesh.neighbors.shape[1]
+    table = mesh.neighbors.ravel().tolist()
     # a trailing False slot: -1 padding reads it and is never admitted
     free = [True] * m + [False]
 
@@ -340,7 +344,8 @@ def cluster_mesh(mesh: TriangleMesh, threshold: float,
         members = [root]
         stack = [root]
         while stack:
-            for j in rows[stack.pop()]:
+            start = stack.pop() * k
+            for j in table[start:start + k]:
                 if free[j] and nx[j] * rx + ny[j] * ry + nz[j] * rz > threshold:
                     free[j] = False
                     members.append(j)
