@@ -13,13 +13,11 @@ from .geometry import (
     PointCloud,
     Pose,
     compose,
-    plane_basis,
     relative_pose,
     rotation_angle_between,
     to_basis,
-    transform_plane,
 )
-from .extraction import ExtractionParams, extract, extract_detailed
+from .extraction import ExtractionParams, extract_detailed
 from .registration import RegistrationParams, RegistrationResult, register
 from .pose_graph import PoseGraph
 from .mapping import MappingParams, PlaneMap, load_map, regenerate, save_map

@@ -4,7 +4,6 @@ Verbs:
     run       scans (simulated scene or scan directory) -> map/trajectory/report
     simulate  scene + trajectory -> scan files and ground truth
     plan      map + RRT parameters -> tree file
-    bench     timing table in the per-module layout
     metrics   estimated vs ground-truth trajectory files
 """
 
@@ -51,7 +50,7 @@ def _load_config(path) -> PipelineConfig:
 
 
 def _simulate_frames(args, config):
-    """Scene-driven scan generation shared by run/simulate/bench."""
+    """Scene-driven scan generation shared by run and simulate."""
     if args.scene in SCENE_NAMES:
         scene, spec = standard_scene(args.scene)
         lidar = standard_lidar_config(args.scene, points_per_scan=args.points,
@@ -154,14 +153,6 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    config = _load_config(args.config)
-    _, gt_poses, scans = _simulate_frames(args, config)
-    result = run_slam(scans, config, initial_pose=gt_poses[0])
-    print(result.report.timing_table())
-    return 0
-
-
 def _cmd_metrics(args) -> int:
     _, est = load_trajectory(args.est)
     _, gt = load_trajectory(args.gt)
@@ -211,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("bench", help="run a scene and print the timing table")
-    add_common(p, scene_required=True)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("metrics", help="compare two trajectory files")
     p.add_argument("--est", required=True)

@@ -40,7 +40,6 @@ __all__ = [
     "cluster_mesh",
     "find_extraction_basis",
     "extract_planes",
-    "extract",
     "extract_detailed",
 ]
 
@@ -470,9 +469,3 @@ def extract_detailed(cloud: PointCloud, params: Optional[ExtractionParams] = Non
     plane_set = extract_planes(clusters, smoothed, basis)
     return ExtractionResult(plane_set, basis, len(mesh), len(clusters),
                             used_fallback)
-
-
-def extract(cloud: PointCloud, params: Optional[ExtractionParams] = None,
-            fallback_basis: Optional[Basis] = None) -> PlaneSet:
-    """Extract the orthogonal plane set of one scan (see module docstring)."""
-    return extract_detailed(cloud, params, fallback_basis).plane_set

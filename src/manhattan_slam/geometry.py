@@ -6,6 +6,9 @@ Conventions used throughout the package:
 * A bounded plane is a center point plus two orthogonal full-edge span
   vectors; the occupied patch is ``{c + a*span_x + b*span_y : a, b in
   [-1/2, 1/2]}``.
+* A :class:`PlaneSet` stores planes as rows, (n, 3) arrays of centers and
+  spans; one batched function, :func:`_frames`, derives and checks the
+  frames (unit spans and normal) and half extents of rows and of a Plane.
 * A pose is a rotation matrix ``R`` and translation ``t``. An absolute pose
   maps sensor-frame points into the world via ``p_w = R @ p + t``.
 * Pose composition follows ``R_k = R_rel @ R_parent`` and
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -35,18 +37,14 @@ __all__ = [
     "skew",
     "so3_exp",
     "so3_log",
-    "rot_x",
-    "rot_y",
     "rot_z",
     "Pose",
     "Basis",
     "Plane",
     "PointCloud",
     "PlaneSet",
-    "plane_basis",
     "to_basis",
     "from_basis",
-    "transform_plane",
     "compose",
     "relative_pose",
     "rotation_angle_between",
@@ -135,16 +133,6 @@ def so3_log(R: np.ndarray) -> np.ndarray:
     return (0.5 * angle / math.sin(angle)) * axis_raw
 
 
-def rot_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 def rot_z(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -188,6 +176,53 @@ class Pose:
         return p @ self.R.T + self.t
 
 
+def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`cross3` of two (n, 3) arrays, bit for bit."""
+    return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+
+
+def _check_frames(F: np.ndarray, cross: np.ndarray) -> None:
+    """Raise :class:`InvalidBasisError` unless every frame ``F[k]``, stored
+    as rows ``b_x, b_y, b_z``, is orthonormal and right-handed with
+    ``b_z == b_x x b_y``; ``cross`` holds the rows' ``b_x x b_y``."""
+    if np.abs(F @ F.transpose(0, 2, 1) - np.eye(3)).max(initial=0.0) > ORTHO_TOL:
+        raise InvalidBasisError("basis columns are not orthonormal")
+    # det [b_x, b_y, b_z] is the triple product (b_x x b_y) . b_z
+    det = cross[:, None, :] @ F[:, 2, :, None]
+    if np.abs(det - 1.0).max(initial=0.0) > ORTHO_TOL:
+        raise InvalidBasisError("basis is not right-handed")
+    if np.abs(cross - F[:, 2]).max(initial=0.0) > ORTHO_TOL:
+        raise InvalidBasisError("b_z != b_x x b_y")
+
+
+def _frames(span_x: np.ndarray, span_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bases (n, 3, 3), columns the unit spans and their normalised cross
+    product, and half extents (n, 2) of n span rows, with the checks of
+    :class:`Plane` and :class:`Basis`. A norm is the root of a one-row
+    matmul, which rounds as ``np.linalg.norm`` does, so rows are independent.
+    """
+    F = np.empty((len(span_x), 3, 3))           # rows b_x, b_y, b_z
+    F[:, 0], F[:, 1] = span_x, span_y
+    S = F[:, :2]
+    norms = np.sqrt(S[:, :, None, :] @ S[:, :, :, None])[..., 0]    # (n, 2, 1)
+    if not norms.all():
+        raise InvalidPlaneError("span vectors must be non-zero")
+    dots = (S[:, 0, None, :] @ S[:, 1, :, None])[:, 0, 0]
+    if (np.abs(dots) > ORTHO_TOL * norms[:, 0, 0] * norms[:, 1, 0]).any():
+        raise InvalidPlaneError("span vectors are not orthogonal")
+    S /= norms
+    cross = _cross_rows(F[:, 0], F[:, 1])
+    np.divide(cross, np.sqrt(cross[:, None, :] @ cross[:, :, None])[:, 0], out=F[:, 2])
+    _check_frames(F, cross)
+    return F.transpose(0, 2, 1), 0.5 * norms[..., 0]
+
+
+def _corners(C: np.ndarray, SX: np.ndarray, SY: np.ndarray) -> np.ndarray:
+    """Counter-clockwise corner loops: (4, 3) of one plane, (n, 4, 3) of rows."""
+    h, g = 0.5 * (SX + SY), 0.5 * (SX - SY)
+    return np.stack([C - h, C + g, C + h, C - g], axis=-2)
+
+
 @dataclass(frozen=True)
 class Basis:
     """Right-handed orthonormal frame stored column-wise as [b_x, b_y, b_z]."""
@@ -198,12 +233,8 @@ class Basis:
         B = np.asarray(self.matrix, dtype=float)
         if B.shape != (3, 3):
             raise InvalidBasisError(f"basis must be 3x3, got {B.shape}")
-        if np.max(np.abs(B.T @ B - np.eye(3))) > ORTHO_TOL:
-            raise InvalidBasisError("basis columns are not orthonormal")
-        if abs(np.linalg.det(B) - 1.0) > ORTHO_TOL:
-            raise InvalidBasisError("basis is not right-handed")
-        if np.max(np.abs(cross3(B[:, 0], B[:, 1]) - B[:, 2])) > ORTHO_TOL:
-            raise InvalidBasisError("b_z != b_x x b_y")
+        F = B.T[None]
+        _check_frames(F, _cross_rows(F[:, 0], F[:, 1]))
         object.__setattr__(self, "matrix", _readonly(B))
 
     @property
@@ -221,7 +252,8 @@ class Basis:
 
 @dataclass(frozen=True)
 class Plane:
-    """Rectangular bounded plane: center plus two orthogonal full-edge spans."""
+    """Rectangular bounded plane: center plus two orthogonal full-edge spans;
+    its frame is :func:`_frames` of its one row."""
 
     center: np.ndarray
     span_x: np.ndarray
@@ -231,22 +263,15 @@ class Plane:
         c = _as_vec3(self.center, "center")
         px = _as_vec3(self.span_x, "span_x")
         py = _as_vec3(self.span_y, "span_y")
-        nx, ny = np.linalg.norm(px), np.linalg.norm(py)
-        if nx == 0.0 or ny == 0.0:
-            raise InvalidPlaneError("span vectors must be non-zero")
-        if abs(float(px @ py)) > ORTHO_TOL * nx * ny:
-            raise InvalidPlaneError("span vectors are not orthogonal")
+        B, h = _frames(px[None], py[None])
         object.__setattr__(self, "center", _readonly(c))
         object.__setattr__(self, "span_x", _readonly(px))
         object.__setattr__(self, "span_y", _readonly(py))
-
-    @cached_property
-    def _frame(self) -> tuple[Basis, np.ndarray]:
-        return _span_frame(self.span_x, self.span_y)
+        object.__setattr__(self, "_frame", (_readonly(B[0]), _readonly(h[0])))
 
     @property
     def normal(self) -> np.ndarray:
-        return self._frame[0].matrix[:, 2]
+        return self._frame[0][:, 2]
 
     @property
     def half_extents(self) -> np.ndarray:
@@ -263,10 +288,7 @@ class Plane:
 
     def corners(self) -> np.ndarray:
         """Counter-clockwise corner loop, shape (4, 3)."""
-        h = 0.5 * (self.span_x + self.span_y)
-        g = 0.5 * (self.span_x - self.span_y)
-        return np.array([self.center - h, self.center + g,
-                         self.center + h, self.center - g])
+        return _corners(self.center, self.span_x, self.span_y)
 
 
 @dataclass(frozen=True)
@@ -291,55 +313,54 @@ class PointCloud:
 
 
 class PlaneSet:
-    """Ordered collection of planes; their frames (:func:`_span_frame`),
-    normals, centers, origin distances and corner loops stacked as read-only
-    arrays."""
+    """Ordered planes as read-only rows: (n, 3) ``centers``, ``span_x`` and
+    ``span_y``, and derived from them once ``bases``, ``half_extents``,
+    ``normals``, origin ``distances`` and ``corners`` (n, 4, 3).
+    :meth:`from_rows` checks every row as :class:`Plane` does;
+    ``PlaneSet(planes)`` stacks Planes, and indexing builds one."""
 
     def __init__(self, planes: Sequence[Plane] = ()):
-        self.planes: tuple[Plane, ...] = tuple(planes)
-        n = len(self.planes)
+        rows = np.array([(p.center, p.span_x, p.span_y) for p in planes], dtype=float)
+        self._derive(*rows.reshape(-1, 3, 3).transpose(1, 0, 2))
 
-        def stacked(rows, shape) -> np.ndarray:
-            return np.array(rows, dtype=float).reshape(n, *shape)
+    @classmethod
+    def from_rows(cls, centers, span_x, span_y) -> "PlaneSet":
+        planes = cls.__new__(cls)
+        planes._derive(centers, span_x, span_y)
+        return planes
 
-        self.bases = _readonly(stacked([plane_basis(p).matrix for p in self.planes], (3, 3)))
-        self.half_extents = _readonly(stacked([p.half_extents for p in self.planes], (2,)))
+    def _derive(self, centers, span_x, span_y) -> None:
+        C, SX, SY = (np.array(a, dtype=float) for a in (centers, span_x, span_y))
+        if not (C.ndim == 2 and C.shape[1] == 3 and C.shape == SX.shape == SY.shape):
+            raise GeometryError(f"plane rows must be three (n, 3) arrays, got "
+                                f"{C.shape}, {SX.shape} and {SY.shape}")
+        if not np.isfinite([C, SX, SY]).all():
+            raise GeometryError("plane rows have non-finite components")
+        B, H = _frames(SX, SY)
+        self.centers, self.span_x, self.span_y = C, SX, SY
+        for a in (C, SX, SY):
+            a.setflags(write=False)
+        self.bases, self.half_extents = _readonly(B), _readonly(H)
         self.normals = _readonly(self.bases[:, :, 2])
-        self.centers = _readonly(stacked([p.center for p in self.planes], (3,)))
-        self.distances = _readonly(np.einsum("ij,ij->i", self.normals, self.centers))
-        # (n, 4, 3), elementwise in the operation order of Plane.corners()
-        SX = stacked([p.span_x for p in self.planes], (3,))
-        SY = stacked([p.span_y for p in self.planes], (3,))
-        h, g = 0.5 * (SX + SY), 0.5 * (SX - SY)
-        C = self.centers
-        self.corners = _readonly(np.stack([C - h, C + g, C + h, C - g], axis=1))
+        self.distances = _readonly(np.einsum("ij,ij->i", self.normals, C))
+        self.corners = _readonly(_corners(C, SX, SY))
 
     def __len__(self) -> int:
-        return len(self.planes)
+        return len(self.centers)
 
     def __iter__(self) -> Iterator[Plane]:
-        return iter(self.planes)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, i: int) -> Plane:
-        return self.planes[i]
+        return Plane(self.centers[i], self.span_x[i], self.span_y[i])
 
     def transformed(self, pose: Pose) -> "PlaneSet":
-        return PlaneSet([transform_plane(p, pose) for p in self.planes])
-
-
-def _span_frame(span_x: np.ndarray, span_y: np.ndarray) -> tuple[Basis, np.ndarray]:
-    """A plane's frame, derived once per plane: the basis of the unit spans
-    and their normalised cross product, and the half edge lengths."""
-    nx, ny = np.linalg.norm(span_x), np.linalg.norm(span_y)
-    bx, by = span_x / nx, span_y / ny
-    bz = cross3(bx, by)
-    bz /= np.linalg.norm(bz)
-    return Basis(np.array([bx, by, bz]).T), _readonly(0.5 * np.array([nx, ny]))
-
-
-def plane_basis(p: Plane) -> Basis:
-    """Orthonormal frame of a plane; the third column is its unit normal."""
-    return p._frame[0]
+        """The set moved by a pose; stacked ``R @ v`` rounds as it does for
+        one row (``V @ R.T`` does not)."""
+        R = pose.R[None]
+        C, SX, SY = ((R @ V[:, :, None])[:, :, 0]
+                     for V in (self.centers, self.span_x, self.span_y))
+        return PlaneSet.from_rows(C + pose.t, SX, SY)
 
 
 def to_basis(points: np.ndarray, basis: Basis) -> np.ndarray:
@@ -352,11 +373,6 @@ def from_basis(coords: np.ndarray, basis: Basis) -> np.ndarray:
     """Inverse of :func:`to_basis`: map frame coordinates back to the world."""
     c = np.asarray(coords, dtype=float)
     return c @ basis.matrix.T
-
-
-def transform_plane(p: Plane, pose: Pose) -> Plane:
-    """Rigidly transform a plane: the center moves, the spans rotate."""
-    return Plane(pose.R @ p.center + pose.t, pose.R @ p.span_x, pose.R @ p.span_y)
 
 
 def compose(parent: Pose, relative: Pose) -> Pose:

@@ -17,18 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import (
-    Basis,
-    Plane,
-    PlaneSet,
-    Pose,
-    cross3,
-    from_basis,
-    plane_basis,
-    to_basis,
-)
+from .geometry import PlaneSet, Pose, _as_vec3, cross3
 
 __all__ = [
+    "MapFormatError",
     "MappingParams",
     "PlaneMap",
     "merge_plane_sets",
@@ -42,6 +34,10 @@ __all__ = [
     "save_map",
     "load_map",
 ]
+
+
+class MapFormatError(ValueError):
+    """A document whose structure is not that of a plane map."""
 
 
 @dataclass
@@ -65,10 +61,20 @@ class PlaneMap:
         return len(self.planes)
 
 
-def _box_in_basis(p: Plane, B: Basis) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) corners of a plane's 2D box in another plane's frame."""
-    corners = to_basis(p.corners(), B)
-    return corners.min(axis=0), corners.max(axis=0)
+Row = tuple[np.ndarray, np.ndarray, np.ndarray]     # center, span_x, span_y
+
+
+def _rows(planes: PlaneSet) -> Row:
+    return planes.centers, planes.span_x, planes.span_y
+
+
+def _edited(planes: PlaneSet, rows: dict[int, Row], keep=slice(None)) -> PlaneSet:
+    """The set with the given rows replaced, by index, then cut to the rows
+    ``keep`` (indices or a mask), in that order."""
+    C, SX, SY = (a.copy() for a in _rows(planes))
+    for i, row in rows.items():
+        C[i], SX[i], SY[i] = row
+    return PlaneSet.from_rows(C[keep], SX[keep], SY[keep])
 
 
 def _gate_matrix(planes: PlaneSet, params: "MappingParams") -> np.ndarray:
@@ -111,8 +117,7 @@ def _proximity_pairs(planes: PlaneSet, reach: float) -> np.ndarray:
     if n < 2:
         return np.empty((0, 2), dtype=int)
     C, N, H = planes.centers, planes.normals, planes.half_extents
-    SX = np.stack([p.span_x for p in planes])
-    SY = np.stack([p.span_y for p in planes])
+    SX, SY = planes.span_x, planes.span_y
     r = np.hypot(H[:, 0], H[:, 1])
     d = np.linalg.norm(C[:, None] - C[None, :], axis=2)
     near = d <= (r[:, None] + r[None, :] + reach)
@@ -126,38 +131,40 @@ def _proximity_pairs(planes: PlaneSet, reach: float) -> np.ndarray:
     return np.argwhere(near)
 
 
-def _merge_group(anchor: Plane, others: Sequence[Plane]) -> Plane:
-    """Bounding-box merge of a plane group in the anchor's frame.
+def _box_row(lo, hi, coord: float, B: np.ndarray) -> Row:
+    """Row of the in-plane box ``[lo, hi]`` at out-of-plane coordinate
+    ``coord``, all in the frame ``B``, whose axes the spans take."""
+    center_b = np.array([0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]), coord])
+    return center_b @ B.T, (hi[0] - lo[0]) * B[:, 0], (hi[1] - lo[1]) * B[:, 1]
+
+
+def _merge_group(planes: PlaneSet, idx: Sequence[int]) -> Row:
+    """Bounding-box merge of the rows ``idx`` in the frame of the first.
 
     The in-plane extent is the union box over every corner; the out-of-plane
     coordinate is the area-weighted mean of the constituents' plane
     coordinates (better-observed planes dominate).
     """
-    B = plane_basis(anchor)
-    group = [anchor, *others]
-    corners = np.vstack([to_basis(p.corners(), B) for p in group])
-    lo, hi = corners[:, :2].min(axis=0), corners[:, :2].max(axis=0)
-    areas = np.array([p.area for p in group])
-    coords = np.array([float(to_basis(p.center, B)[2]) for p in group])
-    coord = float(np.sum(areas * coords) / np.sum(areas))
-
-    center_b = np.array([0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]), coord])
-    return Plane(from_basis(center_b, B),
-                 (hi[0] - lo[0]) * B.b_x,
-                 (hi[1] - lo[1]) * B.b_y)
+    B = planes.bases[idx[0]]
+    corners = planes.corners[idx] @ B
+    lo, hi = corners[..., :2].min(axis=(0, 1)), corners[..., :2].max(axis=(0, 1))
+    H = planes.half_extents[idx]
+    areas = 4.0 * H[:, 0] * H[:, 1]
+    coords = (planes.centers[idx] @ B)[:, 2]
+    return _box_row(lo, hi, float(np.sum(areas * coords) / np.sum(areas)), B)
 
 
-def _saturate(planes: Sequence[Plane], params: MappingParams) -> PlaneSet:
+def _saturate(planes: PlaneSet, params: MappingParams) -> PlaneSet:
     """Merge pairs until no ordered pair satisfies the merge condition."""
-    planes = PlaneSet(planes)
     while len(planes) > 1:
         hits = np.argwhere(_gate_matrix(planes, params))
         if hits.size == 0:
             break
         i, j = int(hits[0, 0]), int(hits[0, 1])
-        merged = _merge_group(planes[i], [planes[j]])
-        keep = [planes[k] for k in range(len(planes)) if k not in (i, j)]
-        planes = PlaneSet([merged, *keep] if i < j else [*keep, merged])
+        rest = [k for k in range(len(planes)) if k not in (i, j)]
+        # the merged row goes first when the anchor precedes its partner
+        planes = _edited(planes, {i: _merge_group(planes, [i, j])},
+                         [i, *rest] if i < j else [*rest, i])
     return planes
 
 
@@ -172,22 +179,21 @@ def merge_plane_sets(map_set: PlaneSet, new_set: PlaneSet,
     """
     params = params or MappingParams()
     n_map = len(map_set)
-    gate = _gate_matrix(PlaneSet([*map_set, *new_set]), params)
+    both = PlaneSet.from_rows(*(np.concatenate(pair) for pair in
+                                zip(_rows(map_set), _rows(new_set))))
+    gate = _gate_matrix(both, params)
     consumed = np.zeros(len(new_set), dtype=bool)
-    merged: list[Plane] = []
-    for i, p in enumerate(map_set):
-        take = [j for j in range(len(new_set))
-                if not consumed[j] and gate[i, n_map + j]]
-        if take:
+    merged = {}
+    for i in range(n_map):
+        take = np.flatnonzero(gate[i, n_map:] & ~consumed)
+        if take.size:
             consumed[take] = True
-            merged.append(_merge_group(p, [new_set[j] for j in take]))
-        else:
-            merged.append(p)
-    merged.extend(q for j, q in enumerate(new_set) if not consumed[j])
-    return _saturate(merged, params)
+            merged[i] = _merge_group(both, [i, *(n_map + take)])
+    keep = np.concatenate([np.arange(n_map), n_map + np.flatnonzero(~consumed)])
+    return _saturate(_edited(both, merged, keep), params)
 
 
-def _fuse_perpendicular(planes: list[Plane], params: MappingParams) -> list[Plane]:
+def _fuse_perpendicular(planes: PlaneSet, params: MappingParams) -> PlaneSet:
     """Snap nearest edges of perpendicular plane pairs onto their common line.
 
     Only extent adjustments along an existing in-plane axis are applied, so
@@ -195,71 +201,67 @@ def _fuse_perpendicular(planes: list[Plane], params: MappingParams) -> list[Plan
     line to align with one of the plane's span axes and the two planes to
     overlap along the line direction.
     """
-    planes = list(planes)
-    for i, j in _proximity_pairs(PlaneSet(planes), params.edge_fuse_distance):
-        a, b = planes[i], planes[j]
-        if abs(float(a.normal @ b.normal)) <= 0.1:
-            u = cross3(a.normal, b.normal)
+    for i, j in _proximity_pairs(planes, params.edge_fuse_distance):
+        # read the set afresh: an earlier pair may have edited it
+        N, C, H = planes.normals, planes.centers, planes.half_extents
+        if abs(float(N[i] @ N[j])) <= 0.1:
+            u = cross3(N[i], N[j])
             u /= np.linalg.norm(u)
             # a point on the intersection line of the two infinite planes
-            A = np.array([a.normal, b.normal, u])
-            rhs = np.array([a.distance_to_origin, b.distance_to_origin, 0.0])
+            A = np.array([N[i], N[j], u])
+            rhs = np.array([float(N[i] @ C[i]), float(N[j] @ C[j]), 0.0])
             point = np.linalg.solve(A, rhs)
 
-            Ba = plane_basis(a)
-            axes = [Ba.b_x, Ba.b_y]
-            along = [abs(float(u @ ax)) for ax in axes]
+            Ba = planes.bases[i]
+            along = [abs(float(u @ Ba[:, 0])), abs(float(u @ Ba[:, 1]))]
             k = int(np.argmax(along))          # span axis parallel to the line
             if along[k] < params.axis_alignment:
                 continue
             w = 1 - k                          # span axis crossing the line
-            ca = to_basis(a.center, Ba)
-            line_b = to_basis(point, Ba)
-            edges = [ca[w] - a.half_extents[w], ca[w] + a.half_extents[w]]
+            ca = C[i] @ Ba
+            line_b = point @ Ba
+            edges = [ca[w] - H[i, w], ca[w] + H[i, w]]
             dist = [abs(e - line_b[w]) for e in edges]
             side = int(np.argmin(dist))
             if dist[side] > params.edge_fuse_distance or dist[side] == 0.0:
                 continue
             # overlap along the line direction
-            lo_a, hi_a = _box_in_basis(a, Ba)
-            lo_b, hi_b = _box_in_basis(b, Ba)
-            if min(hi_a[k], hi_b[k]) < max(lo_a[k], lo_b[k]):
+            box = planes.corners[[i, j]] @ Ba
+            lo, hi = box.min(axis=1), box.max(axis=1)
+            if min(hi[0, k], hi[1, k]) < max(lo[0, k], lo[1, k]):
                 continue
             new_edges = sorted([edges[1 - side], float(line_b[w])])
             new_span = new_edges[1] - new_edges[0]
             if new_span <= 1e-12:
                 continue
-            ca = np.array(ca)
             ca[w] = 0.5 * (new_edges[0] + new_edges[1])
-            span_vecs = [a.span_x.copy(), a.span_y.copy()]
-            span_vecs[w] = new_span * axes[w]
-            planes[i] = Plane(from_basis(ca, Ba), span_vecs[0], span_vecs[1])
+            spans = [planes.span_x[i], planes.span_y[i]]
+            spans[w] = new_span * Ba[:, w]
+            planes = _edited(planes, {i: (ca @ Ba.T, *spans)})
     return planes
 
 
-def _fuse_parallel(planes: list[Plane], params: MappingParams) -> list[Plane]:
+def _fuse_parallel(planes: PlaneSet, params: MappingParams) -> PlaneSet:
     """Snap facing edges of coplanar, axis-aligned plane pairs to a midline.
 
     Applies when the boxes overlap along one in-plane axis and leave a gap
     no wider than the fuse distance along the other; both facing edges move
     to the midline so a later merge pass can unify the pair.
     """
-    planes = list(planes)
-    for i, j in _proximity_pairs(PlaneSet(planes), params.edge_fuse_distance):
+    for i, j in _proximity_pairs(planes, params.edge_fuse_distance):
         if i < j:
-            a, b = planes[i], planes[j]
-            if abs(float(a.normal @ b.normal)) < params.coplanar_threshold:
+            N, C, B = planes.normals, planes.centers, planes.bases
+            if abs(float(N[i] @ N[j])) < params.coplanar_threshold:
                 continue
-            if abs(float(a.normal @ (b.center - a.center))) > params.edge_fuse_distance:
+            if abs(float(N[i] @ (C[j] - C[i]))) > params.edge_fuse_distance:
                 continue
-            Ba = plane_basis(a)
+            Ba, Bb = B[i], B[j]
             # b's box axes must align with a's for an extent-only adjustment
-            Bb = plane_basis(b)
-            align = to_basis(np.array([Bb.b_x, Bb.b_y]), Ba)
+            align = np.array([Bb[:, 0], Bb[:, 1]]) @ Ba
             if np.max(np.abs(align[:, :2]), axis=0).min() < params.axis_alignment:
                 continue
-            lo_a, hi_a = _box_in_basis(a, Ba)
-            lo_b, hi_b = _box_in_basis(b, Ba)
+            box = planes.corners[[i, j]] @ Ba
+            (lo_a, lo_b), (hi_a, hi_b) = box.min(axis=1)[:, :2], box.max(axis=1)[:, :2]
             for gap_axis in (0, 1):
                 other = 1 - gap_axis
                 if min(hi_a[other], hi_b[other]) < max(lo_a[other], lo_b[other]):
@@ -270,35 +272,23 @@ def _fuse_parallel(planes: list[Plane], params: MappingParams) -> list[Plane]:
                     continue
                 if lo_b[gap_axis] > hi_a[gap_axis]:
                     mid = 0.5 * (hi_a[gap_axis] + lo_b[gap_axis])
-                    new_a = (lo_a[gap_axis], mid)
-                    new_b = (mid, hi_b[gap_axis])
+                    hi_a[gap_axis] = lo_b[gap_axis] = mid
                 else:
                     mid = 0.5 * (hi_b[gap_axis] + lo_a[gap_axis])
-                    new_a = (mid, hi_a[gap_axis])
-                    new_b = (lo_b[gap_axis], mid)
-                planes[i] = _resized_in_basis(a, Ba, gap_axis, new_a)
-                planes[j] = _resized_in_basis(b, Ba, gap_axis, new_b)
+                    lo_a[gap_axis] = hi_b[gap_axis] = mid
+                # both resized boxes are taken in a's frame
+                planes = _edited(planes, {
+                    i: _box_row(lo_a, hi_a, float((C[i] @ Ba)[2]), Ba),
+                    j: _box_row(lo_b, hi_b, float((C[j] @ Ba)[2]), Ba)})
                 break
     return planes
-
-
-def _resized_in_basis(p: Plane, B: Basis, axis: int, interval: tuple[float, float]) -> Plane:
-    """Plane with one in-plane interval replaced, in the given frame."""
-    lo, hi = _box_in_basis(p, B)
-    coord = float(to_basis(p.center, B)[2])
-    ivals = [(lo[0], hi[0]), (lo[1], hi[1])]
-    ivals[axis] = interval
-    center_b = np.array([0.5 * (ivals[0][0] + ivals[0][1]),
-                         0.5 * (ivals[1][0] + ivals[1][1]), coord])
-    return Plane(from_basis(center_b, B),
-                 (ivals[0][1] - ivals[0][0]) * B.b_x,
-                 (ivals[1][1] - ivals[1][0]) * B.b_y)
 
 
 def cleanup_map(plane_map: PlaneMap, params: Optional[MappingParams] = None) -> PlaneMap:
     """Remove small-area planes, fuse nearby edges, and re-saturate."""
     params = params or MappingParams()
-    planes = [p for p in plane_map.planes if p.area >= params.min_area]
+    H = plane_map.planes.half_extents
+    planes = _edited(plane_map.planes, {}, 4.0 * H[:, 0] * H[:, 1] >= params.min_area)
     planes = _fuse_perpendicular(planes, params)
     planes = _fuse_parallel(planes, params)
     return PlaneMap(_saturate(planes, params), plane_map.frame_count, plane_map.revision)
@@ -335,14 +325,13 @@ def regenerate(plane_sets: Sequence[PlaneSet], poses: Sequence[Pose],
     return out
 
 
+_PLANE_KEYS = ("center", "span_x", "span_y")
+
+
 def map_to_dict(plane_map: PlaneMap) -> dict:
     return {
-        "planes": [
-            {"center": [float(v) for v in p.center],
-             "span_x": [float(v) for v in p.span_x],
-             "span_y": [float(v) for v in p.span_y]}
-            for p in plane_map.planes
-        ],
+        "planes": [dict(zip(_PLANE_KEYS, row))
+                   for row in zip(*(a.tolist() for a in _rows(plane_map.planes)))],
         "metadata": {
             "frame_count": plane_map.frame_count,
             "revision": plane_map.revision,
@@ -351,11 +340,26 @@ def map_to_dict(plane_map: PlaneMap) -> dict:
 
 
 def map_from_dict(d: dict) -> PlaneMap:
-    planes = PlaneSet([Plane(np.asarray(p["center"], float),
-                             np.asarray(p["span_x"], float),
-                             np.asarray(p["span_y"], float))
-                       for p in d["planes"]])
-    meta = d.get("metadata", {})
+    """A map from its dict form, checked: a structure other than a plane
+    map's raises :class:`MapFormatError`, a bad vector or plane the
+    :class:`GeometryError` that a Plane raises for it."""
+    if not isinstance(d, dict):
+        raise MapFormatError(f"a map must be a JSON object, got {type(d).__name__}")
+    planes, meta = d.get("planes"), d.get("metadata", {})
+    if not isinstance(planes, list) or not isinstance(meta, dict):
+        raise MapFormatError("a map needs a 'planes' list and an optional "
+                             "'metadata' object")
+    rows = []
+    for k, p in enumerate(planes):
+        missing = [key for key in _PLANE_KEYS
+                   if not isinstance(p, dict) or key not in p]
+        if missing:
+            raise MapFormatError(f"plane {k} has no {', '.join(missing)}")
+        try:
+            rows.append([_as_vec3(p[key], f"plane {k} {key}") for key in _PLANE_KEYS])
+        except TypeError:
+            raise MapFormatError(f"plane {k} has a non-numeric vector") from None
+    planes = PlaneSet.from_rows(*np.reshape(rows, (-1, 3, 3)).transpose(1, 0, 2))
     return PlaneMap(planes, meta.get("frame_count", 0), meta.get("revision", 0))
 
 

@@ -110,7 +110,15 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
-        def build(cls, sub: dict, where: str):
+        def section(where: str) -> dict:
+            sub = d.get(where, {})
+            if not isinstance(sub, dict):
+                raise ConfigError(f"{where} must be an object, "
+                                  f"not {type(sub).__name__}")
+            return sub
+
+        def build(cls, where: str):
+            sub = section(where)
             names = {f.name for f in dataclasses.fields(cls)}
             unknown = set(sub) - names
             if unknown:
@@ -118,6 +126,8 @@ class PipelineConfig:
             _check_types(cls, sub, where)
             return cls(**sub)
 
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be an object, not {type(d).__name__}")
         known_top = {"version", "extraction", "registration", "mapping", "pipeline"}
         unknown = set(d) - known_top
         if unknown:
@@ -126,12 +136,11 @@ class PipelineConfig:
         if version != 1:
             raise ConfigError(f"unsupported config version {version}")
         cfg = PipelineConfig(
-            extraction=build(ExtractionParams, d.get("extraction", {}), "extraction"),
-            registration=build(RegistrationParams, d.get("registration", {}),
-                               "registration"),
-            mapping=build(MappingParams, d.get("mapping", {}), "mapping"),
+            extraction=build(ExtractionParams, "extraction"),
+            registration=build(RegistrationParams, "registration"),
+            mapping=build(MappingParams, "mapping"),
         )
-        pipe = d.get("pipeline", {})
+        pipe = section("pipeline")
         valid = {f.name for f in dataclasses.fields(PipelineConfig)} \
             - {"extraction", "registration", "mapping", "version"}
         unknown = set(pipe) - valid

@@ -47,7 +47,6 @@ __all__ = [
     "OptimizeResult",
     "PoseGraph",
     "registration_to_relative",
-    "edge_error",
 ]
 
 
@@ -119,12 +118,6 @@ def registration_to_relative(parent_pose: Pose, rotation: np.ndarray,
     if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12:
         R = orthonormalize(R)
     return Pose(R, translation)
-
-
-def edge_error(measured: Pose, pose_i: Pose, pose_j: Pose) -> np.ndarray:
-    """6-vector discrepancy between a measured and predicted relative pose."""
-    return _edge_errors(measured.R[None], measured.t[None], pose_i.R[None],
-                        pose_i.t[None], pose_j.R[None], pose_j.t[None])[0]
 
 
 def _edge_errors(mR, mt, Ri, ti, Rj, tj) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "RegistrationParams",
     "Correspondences",
     "RegistrationResult",
-    "correspondence_cost",
     "match_planes",
     "estimate_rotation",
     "estimate_translation",
@@ -96,12 +95,6 @@ class RegistrationResult:
     translation_residual_norm: float
     rotation_converged: bool = True
     used_pairs: list[tuple[int, int]] = field(default_factory=list)
-
-
-def correspondence_cost(ps, pt, alpha: float, beta: float) -> float:
-    """Similarity cost: alpha * ||n_s - n_t|| + beta * ||c_s - c_t||."""
-    return float(alpha * np.linalg.norm(ps.normal - pt.normal)
-                 + beta * np.linalg.norm(ps.center - pt.center))
 
 
 def match_planes(source: PlaneSet, target: PlaneSet, alpha: float, beta: float,

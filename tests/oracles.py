@@ -2,9 +2,13 @@
 
 Everything in here deliberately avoids the code paths under test: brute-force
 enumeration, dense sampling, and scipy reference routines only. The scalar
-twins of batched program code (``merge_condition``,
-``segment_plane_intersect``, ``cluster_partition_ref``) share no more than the
-plane-frame helpers of ``manhattan_slam.geometry`` with it.
+twins of batched program code (``plane_basis_ref``, ``transform_plane_ref``,
+``merge_condition``, ``segment_plane_intersect``, ``cluster_partition_ref``)
+share no more than ``Plane``, ``Basis``, ``cross3`` and ``to_basis``
+with it.
+``correspondence_cost`` and ``edge_error`` are the one-pair forms of
+program quantities that only the tests use; ``edge_error`` wraps the
+program's batched ``pose_graph._edge_errors``.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.transform import Rotation
 
-from manhattan_slam.geometry import Plane, plane_basis, to_basis
+from manhattan_slam.geometry import Basis, Plane, Pose, cross3, to_basis
 from manhattan_slam.mapping import MappingParams
+from manhattan_slam.pose_graph import _edge_errors
 
 
 def rotation_angle_deg_quat(Ra: np.ndarray, Rb: np.ndarray) -> float:
@@ -28,6 +33,32 @@ def random_rotation(rng: np.random.Generator, max_angle: float = np.pi) -> np.nd
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(-max_angle, max_angle)
     return Rotation.from_rotvec(angle * axis).as_matrix()
+
+
+def plane_basis_ref(p: Plane) -> Basis:
+    """Scalar twin of one row of ``geometry._frames``: the unit spans and
+    their normalised cross product, the plane's unit normal."""
+    bx = p.span_x / np.linalg.norm(p.span_x)
+    by = p.span_y / np.linalg.norm(p.span_y)
+    bz = cross3(bx, by)
+    return Basis(np.column_stack([bx, by, bz / np.linalg.norm(bz)]))
+
+
+def transform_plane_ref(p: Plane, pose: Pose) -> Plane:
+    """Scalar twin of one row of ``PlaneSet.transformed``."""
+    return Plane(pose.R @ p.center + pose.t, pose.R @ p.span_x, pose.R @ p.span_y)
+
+
+def correspondence_cost(ps: Plane, pt: Plane, alpha: float, beta: float) -> float:
+    """Similarity cost: alpha * ||n_s - n_t|| + beta * ||c_s - c_t||."""
+    return float(alpha * np.linalg.norm(ps.normal - pt.normal)
+                 + beta * np.linalg.norm(ps.center - pt.center))
+
+
+def edge_error(measured: Pose, pose_i: Pose, pose_j: Pose) -> np.ndarray:
+    """6-vector discrepancy between a measured and predicted relative pose."""
+    return _edge_errors(measured.R[None], measured.t[None], pose_i.R[None],
+                        pose_i.t[None], pose_j.R[None], pose_j.t[None])[0]
 
 
 def edge_error_ref(mR, mt, Ri, ti, Rj, tj) -> np.ndarray:
@@ -178,7 +209,7 @@ def merge_condition(ps: Plane, pt: Plane, params: MappingParams | None = None) -
         return False
     if abs(float(ps.normal @ (pt.center - ps.center))) >= params.distance_threshold:
         return False
-    B = plane_basis(ps)
+    B = plane_basis_ref(ps)
     box_s = to_basis(ps.corners(), B)
     box_t = to_basis(pt.corners(), B)
     lo_s, hi_s = box_s.min(axis=0), box_s.max(axis=0)
@@ -198,7 +229,7 @@ def segment_plane_intersect(seg, p: Plane):
     (``v_3 == 0``) never intersects; otherwise the crossing must satisfy
     ``0 <= c <= 1`` and land inside the plane's 2D box (boundaries included).
     """
-    B = plane_basis(p)
+    B = plane_basis_ref(p)
     a = to_basis(seg.a, B)
     b = to_basis(seg.b, B)
     cB = to_basis(p.center, B)

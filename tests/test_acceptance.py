@@ -11,15 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from manhattan_slam.extraction import ExtractionParams, extract
+from manhattan_slam.extraction import ExtractionParams, extract_detailed
 from manhattan_slam.geometry import (
     Plane,
     PlaneSet,
     Pose,
-    plane_basis,
     so3_exp,
     to_basis,
-    transform_plane,
 )
 from manhattan_slam.mapping import map_to_json
 from manhattan_slam.pipeline import (
@@ -29,7 +27,13 @@ from manhattan_slam.pipeline import (
     run_slam,
     save_trajectory,
 )
-from manhattan_slam.planning import Bounds, Segment, rrt_build, tree_to_dict
+from manhattan_slam.planning import (
+    Bounds,
+    Segment,
+    rrt_build,
+    segment_collides,
+    tree_to_dict,
+)
 from manhattan_slam.registration import RegistrationError, register
 from manhattan_slam.simulator import (
     TrajectorySpec,
@@ -40,6 +44,7 @@ from manhattan_slam.simulator import (
 )
 
 from oracles import (
+    plane_basis_ref,
     random_rotation,
     sampled_segment_plane_hit,
     segment_plane_intersect,
@@ -194,7 +199,7 @@ class TestCriterion3Jacobian:
 
 
 def box_iou(p: Plane, f: Plane) -> float:
-    B = plane_basis(f)
+    B = plane_basis_ref(f)
     cp = to_basis(p.corners(), B)
     cf = to_basis(f.corners(), B)
     lo1, hi1 = cp.min(0)[:2], cp.max(0)[:2]
@@ -215,8 +220,8 @@ class TestCriterion4ExtractionFidelity:
             cfg = standard_lidar_config("room", points_per_scan=10000,
                                         range_noise_sigma=sigma)
             cloud = raycast_scan(scene, pose, cfg, seed=4)
-            planes = [transform_plane(p, pose)
-                      for p in extract(cloud, ROOM_PROFILE)]
+            planes = list(extract_detailed(cloud, ROOM_PROFILE)
+                          .plane_set.transformed(pose))
             one_per_face = len(planes) == len(ROOM_FACES)
             worst_normal, worst_iou = 0.0, 1.0
             matched = set()
@@ -325,6 +330,7 @@ class TestCriterion9CollisionOracle:
     def test_intersect_matches_sampling_oracle(self, blocks_clean):
         rng = np.random.default_rng(900)
         disagreements = 0
+        program_disagreements = 0    # planning.segment_collides vs the oracle
         checked = 0
         while checked < 10000:
             R = random_rotation(rng)
@@ -342,11 +348,14 @@ class TestCriterion9CollisionOracle:
             checked += 1
             hit = segment_plane_intersect(Segment(a, b), plane)
             oracle = sampled_segment_plane_hit(a, b, plane)
+            collides = segment_collides(Segment(a, b), PlaneSet([plane]))
+            if collides != (oracle is not None):
+                program_disagreements += 1
             if (hit is None) != (oracle is None):
                 disagreements += 1
             elif hit is not None and np.linalg.norm(hit - oracle) > 1e-6:
                 disagreements += 1
-        ok_oracle = disagreements == 0
+        ok_oracle = disagreements == 0 and program_disagreements == 0
 
         _, _, result = blocks_clean
         plane_map = result.plane_map
@@ -365,7 +374,8 @@ class TestCriterion9CollisionOracle:
                                              plane) is not None:
                     edges_ok = False
         ok = ok_oracle and tree.complete and build_s <= 2.0 and edges_ok
-        report(9, ok, f"10000 oracle cases, {disagreements} disagreements; "
+        report(9, ok, f"10000 oracle cases, {disagreements} disagreements, "
+                      f"{program_disagreements} by segment_collides; "
                       f"1000-node RRT in {build_s:.2f} s (<=2 s), all edges "
                       f"oracle-verified: {edges_ok}")
 

@@ -100,3 +100,32 @@ def test_plan_on_empty_map_names_the_map(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "PipelineError" and "no planes" in err["message"]
+
+
+@pytest.mark.parametrize("doc", [{"extraction": 5}, {"mapping": None}, [1, 2]])
+def test_config_section_not_an_object_rejected(doc, tmp_path, capsys):
+    cfg = tmp_path / "sections.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["run", "--scans-dir", str(tmp_path / "void"),
+               "--out", str(tmp_path / "o"), "--config", str(cfg)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    if isinstance(doc, dict):
+        assert next(iter(doc)) in err["message"]
+
+
+def test_plan_on_malformed_map_names_the_problem(tmp_path, capsys):
+    plane = {"center": [0, 0, 0], "span_x": [1, 0, 0], "span_y": [0, 1, 0]}
+    docs = {"span_x": {"planes": [{"center": plane["center"],
+                                   "span_y": plane["span_y"]}]},
+            "'planes' list": {"planes": 5},
+            "JSON object": [plane]}
+    for k, (problem, doc) in enumerate(docs.items()):
+        map_path = tmp_path / f"map{k}.json"
+        map_path.write_text(json.dumps(doc))
+        rc = main(["plan", "--map", str(map_path), "--out",
+                   str(tmp_path / "tree.json")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MapFormatError" and problem in err["message"]

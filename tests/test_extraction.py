@@ -15,7 +15,6 @@ from manhattan_slam.extraction import (
     TriangleMesh,
     cluster_mesh,
     compute_normals,
-    extract,
     extract_detailed,
     extract_planes,
     find_extraction_basis,
@@ -429,13 +428,14 @@ class TestExtractPlanes:
 class TestExtract:
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
-            extract(PointCloud(np.array([[1.0, 0, 0], [2.0, 0, 0]])))
+            extract_detailed(PointCloud(np.array([[1.0, 0, 0], [2.0, 0, 0]]))).plane_set
 
     def test_room_scan_recovers_faces(self):
         scene, spec = standard_scene("room")
         cfg = standard_lidar_config("room")
         cloud = raycast_scan(scene, spec.waypoints[0], cfg)
-        ps = extract(cloud, ExtractionParams(min_cluster_size=300, **ROOM_PARAMS))
+        ps = extract_detailed(
+            cloud, ExtractionParams(min_cluster_size=300, **ROOM_PARAMS)).plane_set
         assert len(ps) == 6
         for n in ps.normals:
             # every normal within 2 degrees of a scene axis
@@ -446,7 +446,8 @@ class TestExtract:
         cfg = standard_lidar_config("room", points_per_scan=5000,
                                     range_noise_sigma=0.01)
         cloud = raycast_scan(scene, spec.waypoints[0], cfg, seed=5)
-        ps = extract(cloud, ExtractionParams(min_cluster_size=50, **ROOM_PARAMS))
+        ps = extract_detailed(
+            cloud, ExtractionParams(min_cluster_size=50, **ROOM_PARAMS)).plane_set
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
                 d = abs(float(ps.normals[i] @ ps.normals[j]))
@@ -468,9 +469,9 @@ class TestExtract:
         basis = find_extraction_basis(clusters)
         planes = extract_planes(clusters, smoothed, basis)
         assert len(planes) == len(clusters)
-        for cluster, plane in zip(clusters, planes):
-            from manhattan_slam.geometry import plane_basis, to_basis
-            B = plane_basis(plane)
+        for k, (cluster, plane) in enumerate(zip(clusters, planes)):
+            from manhattan_slam.geometry import to_basis
+            B = Basis(planes.bases[k])
             local = to_basis(smoothed.points[cluster.point_indices], B)
             cB = to_basis(plane.center, B)
             hu = 0.5 * np.linalg.norm(plane.span_x)
@@ -483,8 +484,10 @@ class TestExtract:
         cfg = standard_lidar_config("room", points_per_scan=4000,
                                     range_noise_sigma=0.02)
         cloud = raycast_scan(scene, spec.waypoints[0], cfg, seed=7)
-        a = extract(cloud, ExtractionParams(min_cluster_size=50, **ROOM_PARAMS))
-        b = extract(cloud, ExtractionParams(min_cluster_size=50, **ROOM_PARAMS))
+        a = extract_detailed(
+            cloud, ExtractionParams(min_cluster_size=50, **ROOM_PARAMS)).plane_set
+        b = extract_detailed(
+            cloud, ExtractionParams(min_cluster_size=50, **ROOM_PARAMS)).plane_set
         assert len(a) == len(b)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.center, pb.center)
@@ -500,7 +503,7 @@ class TestExtract:
                           horizontal_fov_deg=60, points_per_scan=1200)
         cloud = raycast_scan(scene, Pose(np.eye(3), [0, 0, 1.5]), cfg)
         with pytest.raises(NoGroundPlaneError):
-            extract(cloud, ExtractionParams(min_cluster_size=20))
+            extract_detailed(cloud, ExtractionParams(min_cluster_size=20)).plane_set
         result = extract_detailed(cloud, ExtractionParams(min_cluster_size=20),
                                   fallback_basis=Basis(np.eye(3)))
         assert result.used_fallback_basis

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from manhattan_slam.geometry import (
     Basis,
+    GeometryError,
     InvalidPlaneError,
     InvalidPoseError,
     Plane,
@@ -13,17 +14,20 @@ from manhattan_slam.geometry import (
     compose,
     cross3,
     from_basis,
-    plane_basis,
     relative_pose,
     rot_z,
     rotation_angle_between,
     so3_exp,
     so3_log,
     to_basis,
-    transform_plane,
 )
 
-from oracles import random_rotation, rotation_angle_deg_quat
+from oracles import (
+    plane_basis_ref,
+    random_rotation,
+    rotation_angle_deg_quat,
+    transform_plane_ref,
+)
 
 
 def random_pose(rng) -> Pose:
@@ -37,14 +41,24 @@ def random_plane(rng) -> Plane:
     return Plane(rng.uniform(-5, 5, 3), sx * R[:, 0], sy * R[:, 1])
 
 
+def row_basis(p: Plane) -> Basis:
+    """A plane's frame as a PlaneSet derives it for the plane's row."""
+    return Basis(PlaneSet([p]).bases[0])
+
+
+def moved_row(p: Plane, pose: Pose) -> Plane:
+    """A plane moved by a pose as ``PlaneSet.transformed`` moves its row."""
+    return PlaneSet([p]).transformed(pose)[0]
+
+
 class TestPlaneBasis:
     def test_canonical_axes(self):
         p = Plane(np.zeros(3), [1, 0, 0], [0, 1, 0])
-        assert np.allclose(plane_basis(p).matrix, np.eye(3))
+        assert np.allclose(row_basis(p).matrix, np.eye(3))
 
     def test_axis_permutation(self):
         p = Plane(np.zeros(3), [0, 2, 0], [0, 0, 3])
-        B = plane_basis(p)
+        B = row_basis(p)
         assert np.allclose(B.b_x, [0, 1, 0])
         assert np.allclose(B.b_y, [0, 0, 1])
         assert np.allclose(B.b_z, [1, 0, 0])
@@ -53,7 +67,7 @@ class TestPlaneBasis:
     @settings(max_examples=50, deadline=None)
     def test_random_is_orthonormal(self, seed):
         rng = np.random.default_rng(seed)
-        B = plane_basis(random_plane(rng)).matrix
+        B = row_basis(random_plane(rng)).matrix
         assert np.max(np.abs(B.T @ B - np.eye(3))) < 1e-12
         assert abs(np.linalg.det(B) - 1.0) < 1e-12
 
@@ -83,7 +97,7 @@ class TestToBasis:
         # height n.T @ c in the plane's own frame.
         rng = np.random.default_rng(seed)
         p = random_plane(rng)
-        coords = to_basis(p.corners(), plane_basis(p))
+        coords = to_basis(p.corners(), row_basis(p))
         expected = p.normal @ p.center
         assert np.max(np.abs(coords[:, 2] - expected)) < 1e-9
 
@@ -91,7 +105,7 @@ class TestToBasis:
     @settings(max_examples=25, deadline=None)
     def test_from_basis_round_trip(self, seed):
         rng = np.random.default_rng(seed)
-        B = plane_basis(random_plane(rng))
+        B = row_basis(random_plane(rng))
         pts = rng.uniform(-4, 4, (7, 3))
         assert np.allclose(from_basis(to_basis(pts, B), B), pts, atol=1e-12)
 
@@ -100,13 +114,13 @@ class TestTransformPlane:
     def test_identity(self):
         rng = np.random.default_rng(0)
         p = random_plane(rng)
-        q = transform_plane(p, Pose.identity())
+        q = moved_row(p, Pose.identity())
         assert np.allclose(q.center, p.center)
         assert np.allclose(q.span_x, p.span_x)
 
     def test_pure_translation(self):
         p = Plane([1, 2, 3], [2, 0, 0], [0, 1, 0])
-        q = transform_plane(p, Pose(np.eye(3), [0, 0, 5]))
+        q = moved_row(p, Pose(np.eye(3), [0, 0, 5]))
         assert np.allclose(q.center, [1, 2, 8])
         assert np.allclose(q.span_x, p.span_x)
         assert np.allclose(q.span_y, p.span_y)
@@ -114,7 +128,7 @@ class TestTransformPlane:
     def test_rotation_turns_normal(self):
         p = Plane(np.zeros(3), [0, 1, 0], [0, 0, 1])  # normal +x
         assert np.allclose(p.normal, [1, 0, 0])
-        q = transform_plane(p, Pose(rot_z(np.pi / 2), np.zeros(3)))
+        q = moved_row(p, Pose(rot_z(np.pi / 2), np.zeros(3)))
         assert np.allclose(q.normal, [0, 1, 0], atol=1e-12)
 
     @given(st.integers(0, 10**6))
@@ -122,7 +136,7 @@ class TestTransformPlane:
     def test_preserves_orthogonality_and_norms(self, seed):
         rng = np.random.default_rng(seed)
         p = random_plane(rng)
-        q = transform_plane(p, random_pose(rng))
+        q = moved_row(p, random_pose(rng))
         assert abs(q.span_x @ q.span_y) < 1e-9
         assert abs(np.linalg.norm(q.span_x) - np.linalg.norm(p.span_x)) < 1e-9
         assert abs(np.linalg.norm(q.span_y) - np.linalg.norm(p.span_y)) < 1e-9
@@ -250,14 +264,50 @@ class TestContainers:
             assert np.allclose(ps.normals[i], p.normal, atol=1e-12)
             assert np.allclose(ps.centers[i], p.center, atol=1e-12)
             assert abs(ps.distances[i] - p.normal @ p.center) < 1e-9
-            assert np.array_equal(ps.bases[i], plane_basis(p).matrix)
+            assert np.array_equal(ps.bases[i], plane_basis_ref(p).matrix)
             assert np.array_equal(ps.bases[i][:, 2], ps.normals[i])
             assert np.array_equal(ps.half_extents[i], 0.5 * np.array(
                 [np.linalg.norm(p.span_x), np.linalg.norm(p.span_y)]))
             assert np.array_equal(ps.corners[i], p.corners())
         for a in (ps.bases, ps.half_extents, ps.normals, ps.centers, ps.distances,
-                  ps.corners):
+                  ps.corners, ps.span_x, ps.span_y):
             assert not a.flags.writeable
+        # a set built from rows derives the same arrays as one built from Planes
+        rows = PlaneSet.from_rows(ps.centers, ps.span_x, ps.span_y)
+        for name in ("centers", "span_x", "span_y", "bases", "half_extents",
+                     "normals", "distances", "corners"):
+            assert np.array_equal(getattr(rows, name), getattr(ps, name))
+        # and rejects a bad row with the error a Plane raises for it
+        C, SX, SY = ps.centers, ps.span_x, ps.span_y
+        c, sx, sy = C[2], SX[2], SY[2]
+
+        def with_row(A, v):
+            A = A.copy()
+            A[2] = v
+            return A
+
+        def raised(make) -> type:
+            with pytest.raises(GeometryError) as info:
+                make()
+            return type(info.value)
+
+        # a zero span, non-orthogonal spans, a non-finite value, a wrong shape
+        cases = [((c, 0.0 * sx, sy), (C, with_row(SX, 0.0), SY)),
+                 ((c, sx, sx + sy), (C, SX, with_row(SY, sx + sy))),
+                 ((c, sx, [np.nan, 0, 0]), (C, SX, with_row(SY, np.nan))),
+                 ((c[:2], sx, sy), (C[:, :2], SX, SY))]
+        types = [raised(lambda: Plane(*one)) for one, _ in cases]
+        assert types == [InvalidPlaneError, InvalidPlaneError, GeometryError, GeometryError]
+        assert types == [raised(lambda: PlaneSet.from_rows(*many)) for _, many in cases]
+        # moving the set moves each row bit for bit as the one-plane oracle does
+        pose = random_pose(rng)
+        moved = ps.transformed(pose)
+        for i, p in enumerate(planes):
+            q = transform_plane_ref(p, pose)
+            assert np.array_equal(moved.centers[i], q.center)
+            assert np.array_equal(moved.span_x[i], q.span_x)
+            assert np.array_equal(moved.span_y[i], q.span_y)
+            assert np.array_equal(moved.bases[i], plane_basis_ref(q).matrix)
         empty = PlaneSet()
         assert empty.bases.shape == (0, 3, 3)
         assert empty.half_extents.shape == (0, 2)
@@ -270,5 +320,5 @@ class TestContainers:
         pose = random_pose(rng)
         moved = ps.transformed(pose)
         for p, q in zip(ps, moved):
-            r = transform_plane(p, pose)
+            r = transform_plane_ref(p, pose)
             assert np.allclose(q.center, r.center)

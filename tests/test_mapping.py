@@ -2,12 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from manhattan_slam.geometry import Plane, PlaneSet, Pose, plane_basis, rot_z, to_basis
+from manhattan_slam.geometry import (
+    Basis,
+    GeometryError,
+    InvalidPlaneError,
+    Plane,
+    PlaneSet,
+    Pose,
+    rot_z,
+    to_basis,
+)
 from manhattan_slam.mapping import (
+    MapFormatError,
     MappingParams,
     PlaneMap,
     cleanup_map,
     load_map,
+    map_from_dict,
     map_from_json,
     map_to_json,
     merge_plane_sets,
@@ -130,7 +141,7 @@ class TestMergePlaneSets:
         b = square([0.8, 0.5, 0.0], size=(1.0, 3.0))
         out = merge_plane_sets(PlaneSet([a]), PlaneSet([b]))
         assert len(out) == 1
-        B = plane_basis(out[0])
+        B = Basis(out.bases[0])
         big_lo, big_hi = to_basis(out[0].corners(), B).min(0), \
             to_basis(out[0].corners(), B).max(0)
         for src in (a, b):
@@ -268,3 +279,13 @@ class TestMapIO:
         back = map_from_json(map_to_json(m))
         assert back.revision == 3
         assert back.frame_count == 3
+
+    def test_malformed_planes_raise_geometry_errors(self):
+        good = {"center": [0, 0, 0], "span_x": [1, 0, 0], "span_y": [0, 1, 0]}
+        for key, value, error in (("center", [0, 0], GeometryError),
+                                  ("span_x", [1, 0, float("nan")], GeometryError),
+                                  ("span_y", [0.5, 1, 0], InvalidPlaneError)):
+            with pytest.raises(error):
+                map_from_dict({"planes": [good, {**good, key: value}]})
+        with pytest.raises(MapFormatError, match="plane 1 has no span_y"):
+            map_from_dict({"planes": [good, {"center": [0, 0, 0], "span_x": [1, 0, 0]}]})

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from manhattan_slam.extraction import ExtractionParams, extract
+from manhattan_slam.extraction import ExtractionParams, extract_detailed
 from manhattan_slam.geometry import (
     PlaneSet,
     Pose,
@@ -18,13 +18,12 @@ from manhattan_slam.pose_graph import (
     GraphEdge,
     PoseGraph,
     _edge_jacobians,
-    edge_error,
     registration_to_relative,
 )
 from manhattan_slam.registration import RegistrationParams, register
 from manhattan_slam.simulator import raycast_scan, standard_lidar_config, standard_scene
 
-from oracles import edge_error_ref, edge_jacobians_fd, random_rotation
+from oracles import edge_error, edge_error_ref, edge_jacobians_fd, random_rotation
 
 
 def random_pose(rng):
@@ -100,7 +99,7 @@ class TestCloseLoop:
         scene, _ = standard_scene("room")
         cfg = standard_lidar_config("room", points_per_scan=5000)
         cloud = raycast_scan(scene, pose, cfg, seed=seed)
-        return extract(cloud, ExtractionParams(min_cluster_size=50))
+        return extract_detailed(cloud, ExtractionParams(min_cluster_size=50)).plane_set
 
     def test_revisit_gives_identity_edge(self):
         pose = Pose(np.eye(3), [0.0, 0.0, 1.1])

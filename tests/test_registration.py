@@ -8,7 +8,6 @@ from manhattan_slam.geometry import (
     Pose,
     rot_z,
     so3_exp,
-    transform_plane,
 )
 from manhattan_slam.registration import (
     NoCorrespondencesError,
@@ -17,14 +16,13 @@ from manhattan_slam.registration import (
     RegistrationParams,
     UnobservableRotationError,
     Correspondences,
-    correspondence_cost,
     estimate_rotation,
     estimate_translation,
     match_planes,
     register,
 )
 
-from oracles import brute_force_assignment, random_rotation
+from oracles import brute_force_assignment, correspondence_cost, random_rotation
 
 
 def axis_plane(axis: int, coord: float, center2d=(0.0, 0.0), size=(2.0, 2.0)) -> Plane:
