@@ -7,7 +7,6 @@ with a built-in synthetic LiDAR simulator for end-to-end verification.
 """
 
 from .geometry import (
-    Basis,
     Plane,
     PlaneSet,
     PointCloud,
@@ -15,7 +14,6 @@ from .geometry import (
     compose,
     relative_pose,
     rotation_angle_between,
-    to_basis,
 )
 from .extraction import ExtractionParams, extract_detailed
 from .registration import RegistrationParams, RegistrationResult, register

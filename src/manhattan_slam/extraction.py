@@ -4,9 +4,10 @@ Pipeline: reparameterize points in spherical angles, Delaunay-triangulate
 the angle chart (duplicating a band across the azimuth seam for 360-degree
 scans), prune long 3D edges, Laplacian-smooth the meshed points, compute
 sensor-facing triangle normals, grow normal-similar clusters over the
-mesh's neighbor table, find the scene's orthogonal basis from
-the ground and the dominant wall, and fit an axis-aligned 2D bounding box
-per cluster in that basis.
+mesh's neighbor table, find the scene's orthogonal basis (a (3, 3) array,
+columns ``b_x, b_y, b_z``) from the ground and the dominant wall, and fit
+an axis-aligned 2D bounding box per cluster in that basis; one
+``geometry.box_rows`` call turns a frame's boxes into plane rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import Delaunay, QhullError
 
-from .geometry import Basis, Plane, PlaneSet, PointCloud, from_basis, to_basis
+from .geometry import PlaneSet, PointCloud, as_basis, box_rows
 
 __all__ = [
     "ExtractionError",
@@ -122,7 +123,7 @@ class Cluster:
 @dataclass
 class ExtractionResult:
     plane_set: PlaneSet
-    basis: Optional[Basis]
+    basis: Optional[np.ndarray]     # (3, 3), columns b_x, b_y, b_z
     n_triangles: int
     n_clusters: int
     used_fallback_basis: bool = False
@@ -363,7 +364,7 @@ def cluster_mesh(mesh: TriangleMesh, threshold: float,
 
 
 def find_extraction_basis(clusters: list[Cluster],
-                          ground_tolerance_deg: float = 15.0) -> Basis:
+                          ground_tolerance_deg: float = 15.0) -> np.ndarray:
     """Orthogonal frame from the ground cluster and the dominant wall.
 
     b_z is the average normal of the largest cluster pointing near +z;
@@ -392,15 +393,11 @@ def find_extraction_basis(clusters: list[Cluster],
         raise DegenerateBasisError("wall normal projects to zero on the ground")
     b_x = proj / norm
     b_y = np.cross(b_z, b_x)
-    return Basis(np.column_stack([b_x, b_y, b_z]))
-
-
-# In-plane axis pair per normal axis, ordered so e_u x e_v = +e_axis.
-_INPLANE_AXES = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
+    return as_basis(np.column_stack([b_x, b_y, b_z]))
 
 
 def extract_planes(clusters: list[Cluster], cloud: PointCloud,
-                   basis: Basis) -> PlaneSet:
+                   basis: np.ndarray) -> PlaneSet:
     """Fit an axis-aligned bounded plane to each cluster in the given basis.
 
     Cluster points are projected into the basis, the average normal snapped
@@ -409,37 +406,27 @@ def extract_planes(clusters: list[Cluster], cloud: PointCloud,
     remaining coordinates. Clusters with a degenerate (zero-area) box are
     skipped.
     """
-    planes = []
+    axis, sign, coord, lo, hi = [], [], [], [], []
     for cluster in clusters:
-        pts = to_basis(cloud.points[cluster.point_indices], basis)
-        n_b = to_basis(cluster.avg_normal, basis)
-        axis = int(np.argmax(np.abs(n_b)))
-        sign = 1.0 if n_b[axis] >= 0 else -1.0
-        u, v = _INPLANE_AXES[axis]
-
-        coord = float(pts[:, axis].mean())
-        u_min, u_max = float(pts[:, u].min()), float(pts[:, u].max())
-        v_min, v_max = float(pts[:, v].min()), float(pts[:, v].max())
-        extent_u, extent_v = u_max - u_min, v_max - v_min
-        if extent_u <= 1e-12 or extent_v <= 1e-12:
-            continue
-
-        center_b = np.zeros(3)
-        center_b[axis] = coord
-        center_b[u] = 0.5 * (u_min + u_max)
-        center_b[v] = 0.5 * (v_min + v_max)
-        center = from_basis(center_b, basis)
-        span_u = extent_u * basis.matrix[:, u]
-        span_v = extent_v * basis.matrix[:, v]
-        if sign > 0:
-            planes.append(Plane(center, span_u, span_v))
-        else:
-            planes.append(Plane(center, span_v, span_u))
-    return PlaneSet(planes)
+        pts = cloud.points[cluster.point_indices] @ basis
+        n_b = cluster.avg_normal @ basis
+        k = int(np.argmax(np.abs(n_b)))
+        axis.append(k)
+        sign.append(1.0 if n_b[k] >= 0 else -1.0)
+        coord.append(pts[:, k].mean())
+        lo.append(pts.min(axis=0))
+        hi.append(pts.max(axis=0))
+    axis = np.array(axis, dtype=int)
+    lo, hi = np.reshape(lo, (-1, 3)), np.reshape(hi, (-1, 3))
+    extent = hi - lo
+    extent[np.arange(len(axis)), axis] = np.inf
+    keep = (extent > 1e-12).all(axis=1)
+    return PlaneSet.from_rows(*box_rows(basis, axis[keep], np.array(sign)[keep],
+                                        np.array(coord)[keep], lo[keep], hi[keep]))
 
 
 def extract_detailed(cloud: PointCloud, params: Optional[ExtractionParams] = None,
-                     fallback_basis: Optional[Basis] = None) -> ExtractionResult:
+                     fallback_basis: Optional[np.ndarray] = None) -> ExtractionResult:
     """Full extraction returning the plane set plus the basis used.
 
     The basis is what the next frame should supply as ``fallback_basis`` if
@@ -464,7 +451,7 @@ def extract_detailed(cloud: PointCloud, params: Optional[ExtractionParams] = Non
     except ExtractionError:
         if fallback_basis is None:
             raise
-        basis = fallback_basis
+        basis = as_basis(fallback_basis)
         used_fallback = True
     plane_set = extract_planes(clusters, smoothed, basis)
     return ExtractionResult(plane_set, basis, len(mesh), len(clusters),

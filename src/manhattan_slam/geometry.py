@@ -1,4 +1,4 @@
-"""Core geometric types shared by every stage: bounded planes, poses, bases.
+"""Core geometric types shared by every stage: plane rows and poses.
 
 Conventions used throughout the package:
 
@@ -9,6 +9,10 @@ Conventions used throughout the package:
 * A :class:`PlaneSet` stores planes as rows, (n, 3) arrays of centers and
   spans; one batched function, :func:`_frames`, derives and checks the
   frames (unit spans and normal) and half extents of rows and of a Plane.
+* A basis is a (3, 3) array whose columns ``b_x, b_y, b_z`` form a
+  right-handed orthonormal frame; coordinates in it are ``p @ B``.
+  :func:`box_rows` is the one constructor of rectangles axis-aligned in a
+  basis, and the only code that knows which in-plane axes their spans take.
 * A pose is a rotation matrix ``R`` and translation ``t``. An absolute pose
   maps sensor-frame points into the world via ``p_w = R @ p + t``.
 * Pose composition follows ``R_k = R_rel @ R_parent`` and
@@ -39,12 +43,11 @@ __all__ = [
     "so3_log",
     "rot_z",
     "Pose",
-    "Basis",
     "Plane",
     "PointCloud",
     "PlaneSet",
-    "to_basis",
-    "from_basis",
+    "as_basis",
+    "box_rows",
     "compose",
     "relative_pose",
     "rotation_angle_between",
@@ -198,7 +201,7 @@ def _check_frames(F: np.ndarray, cross: np.ndarray) -> None:
 def _frames(span_x: np.ndarray, span_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bases (n, 3, 3), columns the unit spans and their normalised cross
     product, and half extents (n, 2) of n span rows, with the checks of
-    :class:`Plane` and :class:`Basis`. A norm is the root of a one-row
+    :class:`Plane` and :func:`as_basis`. A norm is the root of a one-row
     matmul, which rounds as ``np.linalg.norm`` does, so rows are independent.
     """
     F = np.empty((len(span_x), 3, 3))           # rows b_x, b_y, b_z
@@ -223,37 +226,49 @@ def _corners(C: np.ndarray, SX: np.ndarray, SY: np.ndarray) -> np.ndarray:
     return np.stack([C - h, C + g, C + h, C - g], axis=-2)
 
 
-@dataclass(frozen=True)
-class Basis:
-    """Right-handed orthonormal frame stored column-wise as [b_x, b_y, b_z]."""
+def as_basis(columns) -> np.ndarray:
+    """The basis with columns ``b_x, b_y, b_z`` as a read-only C-contiguous
+    (3, 3) array; raises :class:`InvalidBasisError` unless it is a finite,
+    right-handed orthonormal frame."""
+    B = _readonly(columns)
+    if B.shape != (3, 3) or not np.isfinite(B).all():
+        raise InvalidBasisError(f"basis must be a finite 3x3 array, got {B.shape}")
+    F = B.T[None]
+    _check_frames(F, _cross_rows(F[:, 0], F[:, 1]))
+    return B
 
-    matrix: np.ndarray
 
-    def __post_init__(self):
-        B = np.asarray(self.matrix, dtype=float)
-        if B.shape != (3, 3):
-            raise InvalidBasisError(f"basis must be 3x3, got {B.shape}")
-        F = B.T[None]
-        _check_frames(F, _cross_rows(F[:, 0], F[:, 1]))
-        object.__setattr__(self, "matrix", _readonly(B))
+def box_rows(B: np.ndarray, axis, sign, coord,
+             lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (centers, span_x, span_y) of n rectangles axis-aligned in the
+    basis ``B``.
 
-    @property
-    def b_x(self) -> np.ndarray:
-        return self.matrix[:, 0]
-
-    @property
-    def b_y(self) -> np.ndarray:
-        return self.matrix[:, 1]
-
-    @property
-    def b_z(self) -> np.ndarray:
-        return self.matrix[:, 2]
+    Rectangle k lies at coordinate ``coord[k]`` along basis axis
+    ``axis[k]``, faces ``sign[k] * B[:, axis[k]]`` and covers the box from
+    ``lo[k]`` to ``hi[k]`` ((n, 3) basis coordinates, whose entries along
+    ``axis[k]`` are unused) in the other two axes. The spans take those axes
+    in cyclic order after the normal axis, swapped for a negative sign, so
+    ``span_x x span_y`` points along ``sign * B[:, axis]``. A center is its
+    basis coordinates times ``B.T``, one row at a time: a stacked ``C @ B.T``
+    rounds differently.
+    """
+    B = np.ascontiguousarray(B, dtype=float)
+    axis = np.asarray(axis, dtype=int)
+    swap = np.asarray(sign) < 0
+    u, v = (axis + 1 + swap) % 3, (axis + 2 - swap) % 3
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    rows = np.arange(len(axis))
+    center = 0.5 * (lo + hi)
+    center[rows, axis] = coord
+    extent = hi - lo
+    return ((center[:, None, :] @ B.T[None])[:, 0],
+            extent[rows, u, None] * B.T[u], extent[rows, v, None] * B.T[v])
 
 
 @dataclass(frozen=True)
 class Plane:
     """Rectangular bounded plane: center plus two orthogonal full-edge spans;
-    its frame is :func:`_frames` of its one row."""
+    its normal is that of :func:`_frames` of its one row."""
 
     center: np.ndarray
     span_x: np.ndarray
@@ -263,32 +278,15 @@ class Plane:
         c = _as_vec3(self.center, "center")
         px = _as_vec3(self.span_x, "span_x")
         py = _as_vec3(self.span_y, "span_y")
-        B, h = _frames(px[None], py[None])
+        B, _ = _frames(px[None], py[None])
         object.__setattr__(self, "center", _readonly(c))
         object.__setattr__(self, "span_x", _readonly(px))
         object.__setattr__(self, "span_y", _readonly(py))
-        object.__setattr__(self, "_frame", (_readonly(B[0]), _readonly(h[0])))
+        object.__setattr__(self, "_normal", _readonly(B[0, :, 2]))
 
     @property
     def normal(self) -> np.ndarray:
-        return self._frame[0][:, 2]
-
-    @property
-    def half_extents(self) -> np.ndarray:
-        return self._frame[1]
-
-    @property
-    def distance_to_origin(self) -> float:
-        return float(self.normal @ self.center)
-
-    @property
-    def area(self) -> float:
-        h = self._frame[1]
-        return float(4.0 * h[0] * h[1])
-
-    def corners(self) -> np.ndarray:
-        """Counter-clockwise corner loop, shape (4, 3)."""
-        return _corners(self.center, self.span_x, self.span_y)
+        return self._normal
 
 
 @dataclass(frozen=True)
@@ -361,18 +359,6 @@ class PlaneSet:
         C, SX, SY = ((R @ V[:, :, None])[:, :, 0]
                      for V in (self.centers, self.span_x, self.span_y))
         return PlaneSet.from_rows(C + pose.t, SX, SY)
-
-
-def to_basis(points: np.ndarray, basis: Basis) -> np.ndarray:
-    """Coordinates of points in the given frame (applies ``B^{-1} = B^T``)."""
-    p = np.asarray(points, dtype=float)
-    return p @ basis.matrix
-
-
-def from_basis(coords: np.ndarray, basis: Basis) -> np.ndarray:
-    """Inverse of :func:`to_basis`: map frame coordinates back to the world."""
-    c = np.asarray(coords, dtype=float)
-    return c @ basis.matrix.T
 
 
 def compose(parent: Pose, relative: Pose) -> Pose:

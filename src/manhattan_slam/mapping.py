@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import PlaneSet, Pose, _as_vec3, cross3
+from .geometry import PlaneSet, Pose, _as_vec3, box_rows, cross3
 
 __all__ = [
     "MapFormatError",
@@ -131,13 +131,6 @@ def _proximity_pairs(planes: PlaneSet, reach: float) -> np.ndarray:
     return np.argwhere(near)
 
 
-def _box_row(lo, hi, coord: float, B: np.ndarray) -> Row:
-    """Row of the in-plane box ``[lo, hi]`` at out-of-plane coordinate
-    ``coord``, all in the frame ``B``, whose axes the spans take."""
-    center_b = np.array([0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]), coord])
-    return center_b @ B.T, (hi[0] - lo[0]) * B[:, 0], (hi[1] - lo[1]) * B[:, 1]
-
-
 def _merge_group(planes: PlaneSet, idx: Sequence[int]) -> Row:
     """Bounding-box merge of the rows ``idx`` in the frame of the first.
 
@@ -147,11 +140,12 @@ def _merge_group(planes: PlaneSet, idx: Sequence[int]) -> Row:
     """
     B = planes.bases[idx[0]]
     corners = planes.corners[idx] @ B
-    lo, hi = corners[..., :2].min(axis=(0, 1)), corners[..., :2].max(axis=(0, 1))
     H = planes.half_extents[idx]
     areas = 4.0 * H[:, 0] * H[:, 1]
     coords = (planes.centers[idx] @ B)[:, 2]
-    return _box_row(lo, hi, float(np.sum(areas * coords) / np.sum(areas)), B)
+    rows = box_rows(B, [2], [1.0], [np.sum(areas * coords) / np.sum(areas)],
+                    corners.min(axis=(0, 1))[None], corners.max(axis=(0, 1))[None])
+    return next(zip(*rows))
 
 
 def _saturate(planes: PlaneSet, params: MappingParams) -> PlaneSet:
@@ -261,7 +255,8 @@ def _fuse_parallel(planes: PlaneSet, params: MappingParams) -> PlaneSet:
             if np.max(np.abs(align[:, :2]), axis=0).min() < params.axis_alignment:
                 continue
             box = planes.corners[[i, j]] @ Ba
-            (lo_a, lo_b), (hi_a, hi_b) = box.min(axis=1)[:, :2], box.max(axis=1)[:, :2]
+            lo, hi = box.min(axis=1), box.max(axis=1)
+            (lo_a, lo_b), (hi_a, hi_b) = lo, hi
             for gap_axis in (0, 1):
                 other = 1 - gap_axis
                 if min(hi_a[other], hi_b[other]) < max(lo_a[other], lo_b[other]):
@@ -277,9 +272,9 @@ def _fuse_parallel(planes: PlaneSet, params: MappingParams) -> PlaneSet:
                     mid = 0.5 * (hi_b[gap_axis] + lo_a[gap_axis])
                     lo_a[gap_axis] = hi_b[gap_axis] = mid
                 # both resized boxes are taken in a's frame
-                planes = _edited(planes, {
-                    i: _box_row(lo_a, hi_a, float((C[i] @ Ba)[2]), Ba),
-                    j: _box_row(lo_b, hi_b, float((C[j] @ Ba)[2]), Ba)})
+                coords = [(C[k] @ Ba)[2] for k in (i, j)]
+                rows = box_rows(Ba, [2, 2], [1.0, 1.0], coords, lo, hi)
+                planes = _edited(planes, dict(zip((i, j), zip(*rows))))
                 break
     return planes
 
@@ -359,8 +354,13 @@ def map_from_dict(d: dict) -> PlaneMap:
             rows.append([_as_vec3(p[key], f"plane {k} {key}") for key in _PLANE_KEYS])
         except TypeError:
             raise MapFormatError(f"plane {k} has a non-numeric vector") from None
+    counts = {key: meta.get(key, 0) for key in ("frame_count", "revision")}
+    for key, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise MapFormatError(f"metadata {key} must be a non-negative "
+                                 f"integer, got {value!r}")
     planes = PlaneSet.from_rows(*np.reshape(rows, (-1, 3, 3)).transpose(1, 0, 2))
-    return PlaneMap(planes, meta.get("frame_count", 0), meta.get("revision", 0))
+    return PlaneMap(planes, **counts)
 
 
 def map_to_json(plane_map: PlaneMap) -> str:

@@ -246,9 +246,10 @@ def run_slam(scans: Sequence[PointCloud], config: Optional[PipelineConfig] = Non
              initial_pose: Optional[Pose] = None) -> SlamResult:
     """Run the SLAM loop over an ordered scan sequence.
 
-    Frame failures (extraction or registration) hold the previous pose and
-    skip mapping for that frame; the run fails outright only when more than
-    half the frames failed.
+    Every frame, the first included, takes the same steps. Frame failures
+    (extraction or registration) hold the previous pose and skip mapping for
+    that frame, and the first frame with planes seeds the map; the run fails
+    outright only when more than half the frames failed.
     """
     config = config or PipelineConfig()
     if len(scans) < 2:
@@ -260,38 +261,12 @@ def run_slam(scans: Sequence[PointCloud], config: Optional[PipelineConfig] = Non
 
     report = RunReport(n_frames=len(scans))
     plane_map = PlaneMap()
+    graph: Optional[PoseGraph] = None
     last_good_set: Optional[PlaneSet] = None
     last_basis = None
     last_closure_frame: Optional[int] = None
 
-    # frame 0: extraction and map seeding only
-    t_start = time.perf_counter()
-    t0 = time.perf_counter()
-    try:
-        res = extract_detailed(scans[0], config.extraction)
-        set0, last_basis = res.plane_set, res.basis
-        if len(set0) == 0:
-            raise ExtractionError("no planes extracted")
-    except ExtractionError:
-        set0 = PlaneSet()
-        report.failed_frames.append(0)
-    extraction_ms = 1e3 * (time.perf_counter() - t0)
-
-    graph = PoseGraph(initial_pose or Pose.identity(), set0)
-
-    t0 = time.perf_counter()
-    if len(set0) > 0:
-        plane_map = update_map(plane_map, set0.transformed(graph.pose(0)), 0,
-                               config.mapping)
-        last_good_set = set0
-    merging_ms = 1e3 * (time.perf_counter() - t0)
-    report.stage_ms["extraction"].append(extraction_ms)
-    report.stage_ms["registration"].append(0.0)
-    report.stage_ms["loop_closure"].append(0.0)
-    report.stage_ms["merging"].append(merging_ms)
-    report.stage_ms["total"].append(1e3 * (time.perf_counter() - t_start))
-
-    for k in range(1, len(scans)):
+    for k in range(len(scans)):
         t_frame = time.perf_counter()
         failed = False
 
@@ -307,8 +282,10 @@ def run_slam(scans: Sequence[PointCloud], config: Optional[PipelineConfig] = Non
             failed = True
         extraction_ms = 1e3 * (time.perf_counter() - t0)
 
-        t0 = time.perf_counter()
+        # with no earlier good frame there is nothing to register against:
+        # the first frame with planes keeps the held pose and seeds the map
         rel = Pose.identity()
+        t0 = time.perf_counter()
         if not failed and last_good_set is not None:
             try:
                 rr = register(plane_set, last_good_set, config.registration)
@@ -322,11 +299,14 @@ def run_slam(scans: Sequence[PointCloud], config: Optional[PipelineConfig] = Non
             except RegistrationError:
                 failed = True
                 rel = Pose.identity()
-        elif last_good_set is None:
-            failed = True
         registration_ms = 1e3 * (time.perf_counter() - t0)
 
-        node = graph.add_frame(plane_set if not failed else PlaneSet(), rel)
+        node_set = plane_set if not failed else PlaneSet()
+        if graph is None:
+            graph = PoseGraph(initial_pose or Pose.identity(), node_set)
+            node = 0
+        else:
+            node = graph.add_frame(node_set, rel)
         if failed:
             report.failed_frames.append(k)
         else:
@@ -492,9 +472,8 @@ def trajectory_points_csv(path, poses: Sequence[Pose]) -> None:
 def map_corners_csv(path, plane_map: PlaneMap) -> None:
     with open(path, "w") as f:
         f.write("plane,corner,x,y,z\n")
-        for i, plane in enumerate(plane_map.planes):
-            for c, corner in enumerate(plane.corners()):
-                x, y, z = (float(v) for v in corner)
+        for i, corners in enumerate(plane_map.planes.corners.tolist()):
+            for c, (x, y, z) in enumerate(corners):
                 f.write(f"{i},{c},{x!r},{y!r},{z!r}\n")
 
 

@@ -1,11 +1,12 @@
 """Synthetic Manhattan-world LiDAR simulator.
 
-Scenes are axis-aligned boxes over a rectangular ground plane. Scans are ray
-casts on a spinning-LiDAR grid (channels evenly spaced over the vertical FOV,
-azimuth steps evenly spaced over the horizontal FOV), returned in the sensor
-frame with optional Gaussian range noise. The noise is clipped at three
-standard deviations so every returned point provably lies within
-``1e-9 + 3 * sigma`` of a scene face.
+Scenes are axis-aligned boxes over a rectangular ground plane; a scene's
+faces are one set of plane rows, built by one ``geometry.box_rows`` call.
+Scans are ray casts on a spinning-LiDAR grid (channels evenly spaced over
+the vertical FOV, azimuth steps evenly spaced over the horizontal FOV),
+returned in the sensor frame with optional Gaussian range noise. The noise
+is clipped at three standard deviations so every returned point provably
+lies within ``1e-9 + 3 * sigma`` of a scene face.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .geometry import Plane, PointCloud, Pose, rot_z, so3_exp, so3_log
+from .geometry import PlaneSet, PointCloud, Pose, box_rows, rot_z, so3_exp, so3_log
 
 __all__ = [
     "Box",
@@ -53,27 +54,6 @@ class Box:
         if not np.all(hi > lo):
             raise ValueError(f"box must have positive volume: {self.lo} .. {self.hi}")
 
-    def faces(self) -> list[Plane]:
-        """Six bounded faces with outward normals."""
-        lo, hi = np.asarray(self.lo, float), np.asarray(self.hi, float)
-        c = 0.5 * (lo + hi)
-        w = hi - lo
-        ex, ey, ez = np.eye(3)
-        out = []
-        # (center offset axis, span_x dir, span_y dir) chosen so that
-        # unit(span_x) x unit(span_y) points outward.
-        for axis, su, sv in ((0, ey, ez), (1, ez, ex), (2, ex, ey)):
-            for sign in (1.0, -1.0):
-                center = c.copy()
-                center[axis] = hi[axis] if sign > 0 else lo[axis]
-                u = su * (w @ np.abs(su))
-                v = sv * (w @ np.abs(sv))
-                if sign > 0:
-                    out.append(Plane(center, u, v))
-                else:
-                    out.append(Plane(center, v, u))
-        return out
-
 
 @dataclass
 class BoxScene:
@@ -84,16 +64,19 @@ class BoxScene:
     ground_hi: tuple[float, float] = (20.0, 20.0)
 
     @cached_property
-    def face_planes(self) -> list[Plane]:
-        glo, ghi = np.asarray(self.ground_lo, float), np.asarray(self.ground_hi, float)
-        gc = 0.5 * (glo + ghi)
-        gw = ghi - glo
-        ground = Plane(np.array([gc[0], gc[1], 0.0]),
-                       np.array([gw[0], 0.0, 0.0]), np.array([0.0, gw[1], 0.0]))
-        faces = [ground]
-        for box in self.boxes:
-            faces.extend(box.faces())
-        return faces
+    def face_planes(self) -> PlaneSet:
+        """The ground (normal +z), then each box's six faces with outward
+        normals, in the order +x, -x, +y, -y, +z, -z."""
+        n = len(self.boxes)
+        lo = np.array([(*self.ground_lo, 0.0)] + [b.lo for b in self.boxes for _ in range(6)],
+                      dtype=float)
+        hi = np.array([(*self.ground_hi, 0.0)] + [b.hi for b in self.boxes for _ in range(6)],
+                      dtype=float)
+        axis = np.array([2] + [0, 0, 1, 1, 2, 2] * n)
+        sign = np.array([1.0] + [1.0, -1.0] * 3 * n)
+        rows = np.arange(len(axis))
+        coord = np.where(sign > 0, hi[rows, axis], lo[rows, axis])
+        return PlaneSet.from_rows(*box_rows(np.eye(3), axis, sign, coord, lo, hi))
 
 
 @dataclass
@@ -166,19 +149,17 @@ def raycast_scan(scene: BoxScene, pose: Pose, cfg: LidarConfig,
     origin = pose.t
 
     t_min = np.full(dirs.shape[0], np.inf)
-    for face in scene.face_planes:
-        n = face.normal
+    faces = scene.face_planes
+    for n, d, c, B, (hu, hv) in zip(faces.normals, faces.distances, faces.centers,
+                                    faces.bases, faces.half_extents):
         denom = dirs_w @ n
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_hit = (face.distance_to_origin - origin @ n) / denom
+            t_hit = (d - origin @ n) / denom
         t_hit = np.where(np.abs(denom) < 1e-12, np.inf, t_hit)
-        bx = face.span_x / np.linalg.norm(face.span_x)
-        by = face.span_y / np.linalg.norm(face.span_y)
-        hu = 0.5 * np.linalg.norm(face.span_x)
-        hv = 0.5 * np.linalg.norm(face.span_y)
+        bx, by = B[:, 0], B[:, 1]
         with np.errstate(invalid="ignore"):
-            pu = (origin - face.center) @ bx + t_hit * (dirs_w @ bx)
-            pv = (origin - face.center) @ by + t_hit * (dirs_w @ by)
+            pu = (origin - c) @ bx + t_hit * (dirs_w @ bx)
+            pv = (origin - c) @ by + t_hit * (dirs_w @ by)
             ok = (t_hit > 1e-9) & (np.abs(pu) <= hu + 1e-12) & (np.abs(pv) <= hv + 1e-12)
         t_min = np.where(ok & (t_hit < t_min), t_hit, t_min)
 

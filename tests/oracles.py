@@ -2,10 +2,11 @@
 
 Everything in here deliberately avoids the code paths under test: brute-force
 enumeration, dense sampling, and scipy reference routines only. The scalar
-twins of batched program code (``plane_basis_ref``, ``transform_plane_ref``,
-``merge_condition``, ``segment_plane_intersect``, ``cluster_partition_ref``)
-share no more than ``Plane``, ``Basis``, ``cross3`` and ``to_basis``
-with it.
+twins of batched program code (``plane_basis_ref``, ``corners_ref``,
+``box_row_ref``, ``transform_plane_ref``, ``merge_condition``,
+``segment_plane_intersect``, ``cluster_partition_ref``) share no more than
+``Plane`` and ``cross3`` with it; coordinates in a basis ``B`` (a (3, 3)
+array, columns ``b_x, b_y, b_z``) are ``p @ B``.
 ``correspondence_cost`` and ``edge_error`` are the one-pair forms of
 program quantities that only the tests use; ``edge_error`` wraps the
 program's batched ``pose_graph._edge_errors``.
@@ -18,7 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.transform import Rotation
 
-from manhattan_slam.geometry import Basis, Plane, Pose, cross3, to_basis
+from manhattan_slam.geometry import Plane, Pose, cross3
 from manhattan_slam.mapping import MappingParams
 from manhattan_slam.pose_graph import _edge_errors
 
@@ -35,13 +36,42 @@ def random_rotation(rng: np.random.Generator, max_angle: float = np.pi) -> np.nd
     return Rotation.from_rotvec(angle * axis).as_matrix()
 
 
-def plane_basis_ref(p: Plane) -> Basis:
+def plane_basis_ref(p: Plane) -> np.ndarray:
     """Scalar twin of one row of ``geometry._frames``: the unit spans and
-    their normalised cross product, the plane's unit normal."""
+    their normalised cross product, the plane's unit normal, as columns."""
     bx = p.span_x / np.linalg.norm(p.span_x)
     by = p.span_y / np.linalg.norm(p.span_y)
     bz = cross3(bx, by)
-    return Basis(np.column_stack([bx, by, bz / np.linalg.norm(bz)]))
+    return np.column_stack([bx, by, bz / np.linalg.norm(bz)])
+
+
+def half_extents_ref(p: Plane) -> np.ndarray:
+    """Half the lengths of a plane's spans."""
+    return 0.5 * np.array([np.linalg.norm(p.span_x), np.linalg.norm(p.span_y)])
+
+
+def corners_ref(p: Plane) -> np.ndarray:
+    """Scalar twin of one row of ``PlaneSet.corners``: the plane's
+    counter-clockwise corner loop, shape (4, 3)."""
+    h, g = 0.5 * (p.span_x + p.span_y), 0.5 * (p.span_x - p.span_y)
+    return np.array([p.center - h, p.center + g, p.center + h, p.center - g])
+
+
+def box_row_ref(B: np.ndarray, axis: int, sign: float, coord: float,
+                lo: np.ndarray, hi: np.ndarray):
+    """Scalar twin of one row of ``geometry.box_rows``: the per-cluster
+    formula plane fitting used. The in-plane axes (u, v) follow the normal
+    axis cyclically, so ``e_u x e_v = +e_axis``; a negative sign swaps the
+    spans."""
+    u, v = {0: (1, 2), 1: (2, 0), 2: (0, 1)}[axis]
+    center_b = np.zeros(3)
+    center_b[axis] = coord
+    center_b[u] = 0.5 * (lo[u] + hi[u])
+    center_b[v] = 0.5 * (lo[v] + hi[v])
+    center = center_b @ B.T
+    span_u = (hi[u] - lo[u]) * B[:, u]
+    span_v = (hi[v] - lo[v]) * B[:, v]
+    return (center, span_u, span_v) if sign > 0 else (center, span_v, span_u)
 
 
 def transform_plane_ref(p: Plane, pose: Pose) -> Plane:
@@ -158,7 +188,7 @@ def sampled_segment_plane_hit(a: np.ndarray, b: np.ndarray, plane: Plane,
     None.
     """
     n = plane.normal
-    d = plane.distance_to_origin
+    d = float(n @ plane.center)
     ts = np.linspace(0.0, 1.0, n_samples + 1)
     pts = a[None, :] + ts[:, None] * (b - a)[None, :]
     f = pts @ n - d
@@ -210,8 +240,8 @@ def merge_condition(ps: Plane, pt: Plane, params: MappingParams | None = None) -
     if abs(float(ps.normal @ (pt.center - ps.center))) >= params.distance_threshold:
         return False
     B = plane_basis_ref(ps)
-    box_s = to_basis(ps.corners(), B)
-    box_t = to_basis(pt.corners(), B)
+    box_s = corners_ref(ps) @ B
+    box_t = corners_ref(pt) @ B
     lo_s, hi_s = box_s.min(axis=0), box_s.max(axis=0)
     lo_t, hi_t = box_t.min(axis=0), box_t.max(axis=0)
     # closed-interval overlap, with float slack so exact touching counts
@@ -230,9 +260,9 @@ def segment_plane_intersect(seg, p: Plane):
     ``0 <= c <= 1`` and land inside the plane's 2D box (boundaries included).
     """
     B = plane_basis_ref(p)
-    a = to_basis(seg.a, B)
-    b = to_basis(seg.b, B)
-    cB = to_basis(p.center, B)
+    a = seg.a @ B
+    b = seg.b @ B
+    cB = p.center @ B
     v3 = b[2] - a[2]
     if v3 == 0.0:
         return None
@@ -240,7 +270,7 @@ def segment_plane_intersect(seg, p: Plane):
     if c < 0.0 or c > 1.0:
         return None
     x = a + c * (b - a)
-    hu, hv = p.half_extents
+    hu, hv = half_extents_ref(p)
     if abs(x[0] - cB[0]) > hu or abs(x[1] - cB[1]) > hv:
         return None
     return seg.a + c * (seg.b - seg.a)

@@ -17,7 +17,6 @@ from manhattan_slam.geometry import (
     PlaneSet,
     Pose,
     so3_exp,
-    to_basis,
 )
 from manhattan_slam.mapping import map_to_json
 from manhattan_slam.pipeline import (
@@ -44,6 +43,7 @@ from manhattan_slam.simulator import (
 )
 
 from oracles import (
+    corners_ref,
     plane_basis_ref,
     random_rotation,
     sampled_segment_plane_hit,
@@ -200,8 +200,8 @@ class TestCriterion3Jacobian:
 
 def box_iou(p: Plane, f: Plane) -> float:
     B = plane_basis_ref(f)
-    cp = to_basis(p.corners(), B)
-    cf = to_basis(f.corners(), B)
+    cp = corners_ref(p) @ B
+    cf = corners_ref(f) @ B
     lo1, hi1 = cp.min(0)[:2], cp.max(0)[:2]
     lo2, hi2 = cf.min(0)[:2], cf.max(0)[:2]
     inter = float(np.prod(np.maximum(0.0, np.minimum(hi1, hi2)
@@ -340,7 +340,7 @@ class TestCriterion9CollisionOracle:
             a, b = rng.uniform(-4, 4, 3), rng.uniform(-4, 4, 3)
             if np.array_equal(a, b):
                 continue
-            corners = plane.corners()
+            corners = corners_ref(plane)
             edges = [(corners[k], corners[(k + 1) % 4]) for k in range(4)]
             if min(segment_segment_distance(a, b, e0, e1)
                    for e0, e1 in edges) < 1e-4:
@@ -359,7 +359,7 @@ class TestCriterion9CollisionOracle:
 
         _, _, result = blocks_clean
         plane_map = result.plane_map
-        corners = np.vstack([p.corners() for p in plane_map.planes])
+        corners = plane_map.planes.corners.reshape(-1, 3)
         bounds = Bounds(corners.min(axis=0) + 0.5, corners.max(axis=0) + 3.0)
         t0 = time.perf_counter()
         tree = rrt_build(plane_map, np.array([9.0, 5.0, 1.5]), bounds,
@@ -399,7 +399,7 @@ class TestCriterion10Determinism:
             tree_path = tmp_path / f"tree{run_id}.json"
             map_path.write_text(map_to_json(result.plane_map))
             save_trajectory(traj_path, result.trajectory)
-            corners = np.vstack([p.corners() for p in result.plane_map.planes])
+            corners = result.plane_map.planes.corners.reshape(-1, 3)
             bounds = Bounds(corners.min(axis=0) - 1.0, corners.max(axis=0) + 1.0)
             tree = rrt_build(result.plane_map, np.array([9.0, 5.0, 1.5]),
                              bounds, 300, 0.8, seed=3)

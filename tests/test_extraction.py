@@ -24,7 +24,7 @@ from manhattan_slam.extraction import (
     triangulate,
 )
 from manhattan_slam.extraction import _adjacency_from_triangles
-from manhattan_slam.geometry import Basis, PointCloud, Pose
+from manhattan_slam.geometry import PointCloud, Pose
 from manhattan_slam.simulator import (
     Box,
     BoxScene,
@@ -358,15 +358,15 @@ class TestExtractionBasis:
     def test_exact_axes(self):
         clusters = [make_cluster([0, 0, 1], 200), make_cluster([1, 0, 0], 100)]
         B = find_extraction_basis(clusters)
-        assert np.allclose(B.matrix, np.eye(3), atol=1e-12)
+        assert np.allclose(B, np.eye(3), atol=1e-12)
 
     def test_projection_kills_z(self):
         a = math.radians(10.0)
         clusters = [make_cluster([0, 0, 1], 200),
                     make_cluster([math.cos(a), 0.0, math.sin(a)], 100)]
         B = find_extraction_basis(clusters)
-        assert np.allclose(B.b_x, [1, 0, 0], atol=1e-12)
-        assert np.allclose(B.b_z, [0, 0, 1], atol=1e-12)
+        assert np.allclose(B[:, 0], [1, 0, 0], atol=1e-12)
+        assert np.allclose(B[:, 2], [0, 0, 1], atol=1e-12)
 
     def test_no_ground_raises(self):
         with pytest.raises(NoGroundPlaneError):
@@ -381,7 +381,7 @@ class TestExtractionBasis:
         cfg = standard_lidar_config("room", points_per_scan=4000)
         cloud = raycast_scan(scene, spec.waypoints[0], cfg)
         result = extract_detailed(cloud, ExtractionParams(min_cluster_size=150, **ROOM_PARAMS))
-        B = result.basis.matrix
+        B = result.basis
         # each basis column within 2 degrees of a scene axis
         for k in range(3):
             assert np.max(np.abs(B[:, k])) > math.cos(math.radians(2.0))
@@ -399,7 +399,7 @@ class TestExtractPlanes:
         pts = np.column_stack([xy, np.full(len(xy), 3.0)])
         cloud = PointCloud(pts)
         cluster = Cluster(np.arange(1), np.arange(len(pts)), np.array([0, 0, 1.0]))
-        ps = extract_planes([cluster], cloud, Basis(np.eye(3)))
+        ps = extract_planes([cluster], cloud, np.eye(3))
         assert len(ps) == 1
         p = ps[0]
         assert np.allclose(p.center, [1.0, 0.5, 3.0], atol=1e-12)
@@ -414,14 +414,14 @@ class TestExtractPlanes:
         cloud = PointCloud(pts)
         n = np.array([0.9, 0.1, 0.0])
         cluster = Cluster(np.arange(1), np.arange(50), n / np.linalg.norm(n))
-        ps = extract_planes([cluster], cloud, Basis(np.eye(3)))
+        ps = extract_planes([cluster], cloud, np.eye(3))
         assert np.allclose(np.abs(ps[0].normal), [1, 0, 0], atol=1e-12)
 
     def test_degenerate_box_skipped(self):
         pts = np.column_stack([np.linspace(0, 1, 30), np.zeros(30), np.zeros(30)])
         cloud = PointCloud(pts)
         cluster = Cluster(np.arange(1), np.arange(30), np.array([0, 0, 1.0]))
-        ps = extract_planes([cluster], cloud, Basis(np.eye(3)))
+        ps = extract_planes([cluster], cloud, np.eye(3))
         assert len(ps) == 0
 
 
@@ -470,10 +470,9 @@ class TestExtract:
         planes = extract_planes(clusters, smoothed, basis)
         assert len(planes) == len(clusters)
         for k, (cluster, plane) in enumerate(zip(clusters, planes)):
-            from manhattan_slam.geometry import to_basis
-            B = Basis(planes.bases[k])
-            local = to_basis(smoothed.points[cluster.point_indices], B)
-            cB = to_basis(plane.center, B)
+            B = planes.bases[k]
+            local = smoothed.points[cluster.point_indices] @ B
+            cB = plane.center @ B
             hu = 0.5 * np.linalg.norm(plane.span_x)
             hv = 0.5 * np.linalg.norm(plane.span_y)
             assert np.all(np.abs(local[:, 0] - cB[0]) <= hu + 1e-6)
@@ -505,6 +504,6 @@ class TestExtract:
         with pytest.raises(NoGroundPlaneError):
             extract_detailed(cloud, ExtractionParams(min_cluster_size=20)).plane_set
         result = extract_detailed(cloud, ExtractionParams(min_cluster_size=20),
-                                  fallback_basis=Basis(np.eye(3)))
+                                  fallback_basis=np.eye(3))
         assert result.used_fallback_basis
         assert len(result.plane_set) >= 1

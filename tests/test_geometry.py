@@ -3,26 +3,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from manhattan_slam.geometry import (
-    Basis,
     GeometryError,
+    InvalidBasisError,
     InvalidPlaneError,
     InvalidPoseError,
     Plane,
     PlaneSet,
     PointCloud,
     Pose,
+    as_basis,
+    box_rows,
     compose,
     cross3,
-    from_basis,
     relative_pose,
     rot_z,
     rotation_angle_between,
     so3_exp,
     so3_log,
-    to_basis,
 )
 
 from oracles import (
+    box_row_ref,
+    corners_ref,
     plane_basis_ref,
     random_rotation,
     rotation_angle_deg_quat,
@@ -41,9 +43,9 @@ def random_plane(rng) -> Plane:
     return Plane(rng.uniform(-5, 5, 3), sx * R[:, 0], sy * R[:, 1])
 
 
-def row_basis(p: Plane) -> Basis:
+def row_basis(p: Plane) -> np.ndarray:
     """A plane's frame as a PlaneSet derives it for the plane's row."""
-    return Basis(PlaneSet([p]).bases[0])
+    return PlaneSet([p]).bases[0]
 
 
 def moved_row(p: Plane, pose: Pose) -> Plane:
@@ -54,20 +56,20 @@ def moved_row(p: Plane, pose: Pose) -> Plane:
 class TestPlaneBasis:
     def test_canonical_axes(self):
         p = Plane(np.zeros(3), [1, 0, 0], [0, 1, 0])
-        assert np.allclose(row_basis(p).matrix, np.eye(3))
+        assert np.allclose(row_basis(p), np.eye(3))
 
     def test_axis_permutation(self):
         p = Plane(np.zeros(3), [0, 2, 0], [0, 0, 3])
         B = row_basis(p)
-        assert np.allclose(B.b_x, [0, 1, 0])
-        assert np.allclose(B.b_y, [0, 0, 1])
-        assert np.allclose(B.b_z, [1, 0, 0])
+        assert np.allclose(B[:, 0], [0, 1, 0])
+        assert np.allclose(B[:, 1], [0, 0, 1])
+        assert np.allclose(B[:, 2], [1, 0, 0])
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
     def test_random_is_orthonormal(self, seed):
         rng = np.random.default_rng(seed)
-        B = row_basis(random_plane(rng)).matrix
+        B = row_basis(random_plane(rng))
         assert np.max(np.abs(B.T @ B - np.eye(3))) < 1e-12
         assert abs(np.linalg.det(B) - 1.0) < 1e-12
 
@@ -81,15 +83,6 @@ class TestPlaneBasis:
 
 
 class TestToBasis:
-    def test_identity(self):
-        B = Basis(np.eye(3))
-        p = np.array([1.0, -2.0, 3.0])
-        assert np.allclose(to_basis(p, B), p)
-
-    def test_permutation(self):
-        B = Basis(np.column_stack([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
-        assert np.allclose(to_basis(np.array([1.0, 2.0, 3.0]), B), [2, 3, 1])
-
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
     def test_corners_share_third_coordinate(self, seed):
@@ -97,17 +90,60 @@ class TestToBasis:
         # height n.T @ c in the plane's own frame.
         rng = np.random.default_rng(seed)
         p = random_plane(rng)
-        coords = to_basis(p.corners(), row_basis(p))
+        coords = PlaneSet([p]).corners[0] @ row_basis(p)
         expected = p.normal @ p.center
         assert np.max(np.abs(coords[:, 2] - expected)) < 1e-9
 
+    def test_as_basis_checks_the_frame(self):
+        B = as_basis(np.column_stack([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+        assert B.flags.c_contiguous and not B.flags.writeable
+        for bad in (np.diag([1.0, 1.0, -1.0]),        # left-handed
+                    2.0 * np.eye(3),                   # not unit
+                    np.full((3, 3), np.nan),
+                    np.eye(2)):
+            with pytest.raises(InvalidBasisError):
+                as_basis(bad)
+
+
+def random_boxes(rng, n: int):
+    """Rows of ``box_rows`` arguments: every (axis, sign) pair, then random."""
+    pairs = [(a, s) for a in range(3) for s in (1.0, -1.0)]
+    axis = np.array([a for a, _ in pairs] + list(rng.integers(0, 3, n)))
+    sign = np.array([s for _, s in pairs] + list(rng.choice([1.0, -1.0], n)))
+    lo = rng.uniform(-5, 5, (len(axis), 3))
+    hi = lo + rng.uniform(0.1, 4.0, lo.shape)
+    return axis, sign, rng.uniform(-5, 5, len(axis)), lo, hi
+
+
+class TestBoxRows:
     @given(st.integers(0, 10**6))
-    @settings(max_examples=25, deadline=None)
-    def test_from_basis_round_trip(self, seed):
+    @settings(max_examples=50, deadline=None)
+    def test_normal_follows_axis_and_sign(self, seed):
         rng = np.random.default_rng(seed)
-        B = row_basis(random_plane(rng))
-        pts = rng.uniform(-4, 4, (7, 3))
-        assert np.allclose(from_basis(to_basis(pts, B), B), pts, atol=1e-12)
+        B = as_basis(random_rotation(rng))
+        axis, sign, coord, lo, hi = random_boxes(rng, 10)
+        C, SX, SY = box_rows(B, axis, sign, coord, lo, hi)
+        for k in range(len(axis)):
+            n = np.cross(SX[k], SY[k])
+            assert np.allclose(n / np.linalg.norm(n), sign[k] * B[:, axis[k]],
+                               atol=1e-12)
+            assert abs((C[k] @ B)[axis[k]] - coord[k]) < 1e-12
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_match_scalar_oracle_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        B = as_basis(random_rotation(rng))
+        axis, sign, coord, lo, hi = random_boxes(rng, 20)
+        rows = box_rows(B, axis, sign, coord, lo, hi)
+        for k, row in enumerate(zip(*rows)):
+            want = box_row_ref(B, int(axis[k]), sign[k], coord[k], lo[k], hi[k])
+            for got, ref in zip(row, want):
+                assert np.array_equal(got, ref)
+
+    def test_empty(self):
+        rows = box_rows(np.eye(3), [], [], [], np.empty((0, 3)), np.empty((0, 3)))
+        assert [a.shape for a in rows] == [(0, 3)] * 3
 
 
 class TestTransformPlane:
@@ -264,11 +300,11 @@ class TestContainers:
             assert np.allclose(ps.normals[i], p.normal, atol=1e-12)
             assert np.allclose(ps.centers[i], p.center, atol=1e-12)
             assert abs(ps.distances[i] - p.normal @ p.center) < 1e-9
-            assert np.array_equal(ps.bases[i], plane_basis_ref(p).matrix)
+            assert np.array_equal(ps.bases[i], plane_basis_ref(p))
             assert np.array_equal(ps.bases[i][:, 2], ps.normals[i])
             assert np.array_equal(ps.half_extents[i], 0.5 * np.array(
                 [np.linalg.norm(p.span_x), np.linalg.norm(p.span_y)]))
-            assert np.array_equal(ps.corners[i], p.corners())
+            assert np.array_equal(ps.corners[i], corners_ref(p))
         for a in (ps.bases, ps.half_extents, ps.normals, ps.centers, ps.distances,
                   ps.corners, ps.span_x, ps.span_y):
             assert not a.flags.writeable
@@ -307,7 +343,7 @@ class TestContainers:
             assert np.array_equal(moved.centers[i], q.center)
             assert np.array_equal(moved.span_x[i], q.span_x)
             assert np.array_equal(moved.span_y[i], q.span_y)
-            assert np.array_equal(moved.bases[i], plane_basis_ref(q).matrix)
+            assert np.array_equal(moved.bases[i], plane_basis_ref(q))
         empty = PlaneSet()
         assert empty.bases.shape == (0, 3, 3)
         assert empty.half_extents.shape == (0, 2)

@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from manhattan_slam.geometry import (
-    Basis,
     GeometryError,
     InvalidPlaneError,
     Plane,
     PlaneSet,
     Pose,
     rot_z,
-    to_basis,
 )
 from manhattan_slam.mapping import (
     MapFormatError,
@@ -28,7 +26,7 @@ from manhattan_slam.mapping import (
 )
 from manhattan_slam.mapping import _gate_matrix
 
-from oracles import merge_condition, random_rotation
+from oracles import corners_ref, merge_condition, random_rotation
 
 
 def square(center, normal_axis=2, size=(1.0, 1.0)) -> Plane:
@@ -141,11 +139,10 @@ class TestMergePlaneSets:
         b = square([0.8, 0.5, 0.0], size=(1.0, 3.0))
         out = merge_plane_sets(PlaneSet([a]), PlaneSet([b]))
         assert len(out) == 1
-        B = Basis(out.bases[0])
-        big_lo, big_hi = to_basis(out[0].corners(), B).min(0), \
-            to_basis(out[0].corners(), B).max(0)
+        B = out.bases[0]
+        big_lo, big_hi = (out.corners[0] @ B).min(0), (out.corners[0] @ B).max(0)
         for src in (a, b):
-            lo, hi = to_basis(src.corners(), B).min(0), to_basis(src.corners(), B).max(0)
+            lo, hi = (corners_ref(src) @ B).min(0), (corners_ref(src) @ B).max(0)
             assert np.all(lo[:2] >= big_lo[:2] - 1e-9)
             assert np.all(hi[:2] <= big_hi[:2] + 1e-9)
 
@@ -279,6 +276,17 @@ class TestMapIO:
         back = map_from_json(map_to_json(m))
         assert back.revision == 3
         assert back.frame_count == 3
+
+    @pytest.mark.parametrize("metadata", [
+        {"frame_count": "x", "revision": None},
+        {"frame_count": -3},
+        {"revision": 1.5},
+        {"frame_count": True},
+    ])
+    def test_malformed_metadata_raises(self, metadata):
+        # a count that is not a non-negative int would break the next update
+        with pytest.raises(MapFormatError, match="metadata"):
+            map_from_dict({"planes": [], "metadata": metadata})
 
     def test_malformed_planes_raise_geometry_errors(self):
         good = {"center": [0, 0, 0], "span_x": [1, 0, 0], "span_y": [0, 1, 0]}

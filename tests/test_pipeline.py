@@ -89,6 +89,23 @@ class TestRunSlam:
                            pc.mapping)
         assert map_to_json(regen) == map_to_json(result.plane_map)
 
+    def test_failed_first_frame_leaves_the_next_to_seed(self):
+        scene, spec = standard_scene("room")
+        cfg = standard_lidar_config("room", points_per_scan=5000)
+        frames = run_trajectory(scene, spec, cfg, seed=0, n_frames=6)
+        scans = [c for _, c in frames]
+        scans[0] = PointCloud(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        pc = PipelineConfig()
+        result = run_slam(scans, pc, initial_pose=frames[0][0])
+        assert result.report.failed_frames == [0]
+        assert len(result.plane_map) > 0
+        # frame 1 keeps the held pose and seeds the map, as frame 0 of a run
+        # without the bad scan does
+        rest = run_slam(scans[1:], pc, initial_pose=frames[0][0])
+        assert map_to_json(result.plane_map) == map_to_json(rest.plane_map)
+        for a, b in zip(result.trajectory[1:], rest.trajectory):
+            assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t)
+
     def test_mostly_garbage_aborts(self):
         rng = np.random.default_rng(1)
         scans = [PointCloud(rng.uniform(1, 2, (4, 3)), frame_id=k)

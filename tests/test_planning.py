@@ -14,6 +14,7 @@ from manhattan_slam.planning import (
 )
 
 from oracles import (
+    corners_ref,
     random_rotation,
     sampled_segment_plane_hit,
     segment_plane_intersect,
@@ -32,7 +33,7 @@ def random_plane(rng) -> Plane:
 
 
 def plane_edges(p: Plane):
-    c = p.corners()
+    c = corners_ref(p)
     return [(c[k], c[(k + 1) % 4]) for k in range(4)]
 
 
@@ -68,7 +69,7 @@ class TestSegmentPlaneIntersect:
         hit = segment_plane_intersect(seg, plane)
         if hit is None:
             return
-        assert abs(float(plane.normal @ hit) - plane.distance_to_origin) < 1e-9
+        assert abs(float(plane.normal @ hit) - float(plane.normal @ plane.center)) < 1e-9
         v = seg.b - seg.a
         t = float((hit - seg.a) @ v / (v @ v))
         assert -1e-12 <= t <= 1.0 + 1e-12

@@ -82,6 +82,24 @@ class TestRaycast:
             assert abs(min(dists) - np.linalg.norm(x - pose.t)) < 1e-6
 
 
+class TestFaces:
+    def test_faces_are_the_outward_box_surfaces(self):
+        scene, _ = standard_scene("blocks")
+        faces = scene.face_planes
+        assert len(faces) == 1 + 6 * len(scene.boxes)
+        assert np.array_equal(faces.normals[0], [0.0, 0.0, 1.0])
+        order = [(0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0), (2, 1.0), (2, -1.0)]
+        for k, box in enumerate(scene.boxes):
+            lo, hi = np.array(box.lo), np.array(box.hi)
+            for f, (axis, sign) in enumerate(order, start=1 + 6 * k):
+                assert np.array_equal(faces.normals[f], sign * np.eye(3)[axis])
+                # the face lies on the box's bound along its normal, and its
+                # corners are box corners (the blocks' bounds are integers)
+                corners = faces.corners[f]
+                assert np.all(corners[:, axis] == (hi if sign > 0 else lo)[axis])
+                assert np.all((corners == lo) | (corners == hi))
+
+
 class TestTrajectory:
     def test_static_pose_identical_clouds(self):
         scene, spec = standard_scene("room")
