@@ -1,9 +1,9 @@
 """Plane extraction: one LiDAR scan in, a set of orthogonal planes out.
 
 Pipeline: reparameterize points in spherical angles, Delaunay-triangulate
-the angle chart (duplicating a band across the azimuth seam for 360-degree
-scans), prune long 3D edges, Laplacian-smooth the meshed points, compute
-sensor-facing triangle normals, grow normal-similar clusters over the
+the ray directions on the unit sphere (their convex hull, which has no
+azimuth seam), prune long 3D edges, Laplacian-smooth the meshed points,
+compute sensor-facing triangle normals, grow normal-similar clusters over the
 mesh's neighbor table, find the scene's orthogonal basis (a (3, 3) array,
 columns ``b_x, b_y, b_z``) from the ground and the dominant wall, and fit
 an axis-aligned 2D bounding box per cluster in that basis; one
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import PlaneSet, PointCloud, as_basis, box_rows
 
@@ -75,7 +75,6 @@ class ExtractionParams:
     cluster_threshold: float = 0.98       # dot-product gate (~11.5 degree cone)
     min_cluster_size: int = 20            # triangles
     ground_angle_tolerance_deg: float = 15.0
-    seam_margin: float = 0.35             # rad, azimuth band duplicated at -pi
     min_triangle_area: float = 1e-12      # m^2, degenerate-triangle cutoff
 
     def __post_init__(self):
@@ -100,7 +99,7 @@ class TriangleMesh:
     """Triangles over cloud indices with edge-sharing adjacency."""
 
     triangles: np.ndarray      # (M, 3) int, indices into the cloud
-    neighbors: np.ndarray      # (M, K) int, all edge-sharing triangles, -1 pad
+    neighbors: np.ndarray      # (M, 3) int, (i, e) across edge e of i, or -1
     normals: Optional[np.ndarray] = None   # (M, 3) unit, sensor-facing
 
     def __len__(self) -> int:
@@ -144,66 +143,49 @@ def spherical_project(cloud: PointCloud) -> SphericalAngles:
 
 
 def _adjacency_from_triangles(triangles: np.ndarray) -> np.ndarray:
-    """Edge-sharing neighbor table, (M, K) with -1 padding.
+    """Edge-sharing neighbor table, (M, 3) with -1 where no triangle is.
 
-    Row i lists every triangle that shares an edge with triangle i, so the
-    table is symmetric; K is the largest neighbor count. Edges in the
-    doubly meshed seam band can carry more than two triangles.
+    Entry (i, e) is the triangle across edge e of triangle i, the edge
+    through its vertices e and e + 1 (mod 3). Precondition: no edge carries
+    more than two triangles, so each edge pairs at most two owners and the
+    table is symmetric.
     """
-    m = triangles.shape[0]
-    if m == 0:
-        return np.full((0, 0), -1, dtype=np.int64)
-    edges = triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-    edges.sort(axis=1)
-    owner = np.repeat(np.arange(m), 3)
+    edges = np.sort(triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
     # single int64 keys sort much faster than 2-column lexsort
-    base = int(triangles.max()) + 1
+    base = int(triangles.max(initial=0)) + 1
     keys = edges[:, 0].astype(np.int64) * base + edges[:, 1]
     order = np.argsort(keys, kind="stable")
-    ks, os_ = keys[order], owner[order]
-    # every pair of owners within one edge's run of equal keys
-    a, b = [], []
-    for gap in range(1, ks.size):
-        same = ks[gap:] == ks[:-gap]
-        a.append(os_[:-gap][same])
-        b.append(os_[gap:][same])
-        if not same.any():
-            break
-
-    rows = np.concatenate(a + b)
-    vals = np.concatenate(b + a)
-    idx = np.argsort(rows, kind="stable")
-    rows, vals = rows[idx], vals[idx]
-    counts = np.bincount(rows, minlength=m)
-    starts = np.cumsum(counts) - counts
-    nbr = np.full((m, int(counts.max())), -1, dtype=np.int64)
-    nbr[rows, np.arange(rows.size) - starts[rows]] = vals
-    return nbr
+    same = keys[order[1:]] == keys[order[:-1]]
+    a, b = order[:-1][same], order[1:][same]
+    nbr = np.full(keys.size, -1, dtype=np.int64)
+    nbr[a], nbr[b] = b // 3, a // 3
+    return nbr.reshape(-1, 3)
 
 
 def _keep_triangles(mesh: TriangleMesh, keep: np.ndarray,
                     normals: Optional[np.ndarray]) -> TriangleMesh:
     """The kept triangles, with their rows of the neighbor table renumbered.
 
-    Dropped neighbors become -1 padding, so each row keeps exactly its
-    surviving edge-sharing neighbors: the table a rebuild would give.
+    Dropped neighbors become -1 in their edge's slot, so each row keeps
+    exactly its surviving edge-sharing neighbors: the table a rebuild would
+    give.
     """
     kept = np.flatnonzero(keep)
-    # one spare trailing slot, so -1 padding is looked up as -1
+    # one spare trailing slot, so a -1 entry is looked up as -1
     renumber = np.full(len(mesh) + 1, -1, dtype=np.int64)
     renumber[kept] = np.arange(kept.size)
     return TriangleMesh(mesh.triangles[kept], renumber[mesh.neighbors[kept]],
                         normals)
 
 
-def triangulate(angles: SphericalAngles, seam_margin: float = 0.35) -> TriangleMesh:
-    """Delaunay triangulation of the (theta, phi) chart.
+def triangulate(angles: SphericalAngles) -> TriangleMesh:
+    """Delaunay triangulation of the ray directions on the unit sphere.
 
-    A flat chart tears 360-degree scans at theta = +-pi, so points within
-    ``seam_margin`` of -pi are duplicated shifted by +2 pi before
-    triangulating; the duplicates are then folded back onto their originals
-    and repeated triangles removed. The neighbor table is built here, once
-    per scan; later stages only drop and renumber its rows.
+    It is the convex hull of the unit directions, so it has no azimuth seam
+    and every edge carries exactly two triangles. Each triangle's vertices
+    are sorted and the triangles listed in lexicographic order of those
+    triples. The neighbor table is built here, once per scan; later stages
+    only drop and renumber its rows.
     """
     idx = np.flatnonzero(angles.valid)
     if idx.size < 3:
@@ -215,31 +197,19 @@ def triangulate(angles: SphericalAngles, seam_margin: float = 0.35) -> TriangleM
     if sigma[1] <= 1e-12 * max(sigma[0], 1.0):
         raise EmptyMeshError("angle chart is collinear")
     # sub-nanoradian deterministic dither: scan grids put whole rings of
-    # points on common circles, a degeneracy qhull resolves at ~2x the cost
+    # points on common circles, so their directions on common planes, a
+    # degeneracy qhull resolves at ~3x the cost
     pts = pts + np.random.default_rng(0x5EED).uniform(-1e-9, 1e-9, pts.shape)
-
-    dup = pts[:, 0] < (-math.pi + seam_margin)
-    ext = np.vstack([pts, pts[dup] + np.array([2.0 * math.pi, 0.0])])
-    mapping = np.concatenate([idx, idx[dup]])
+    theta, phi = pts.T
+    rays = np.column_stack([np.cos(phi) * np.cos(theta),
+                            np.cos(phi) * np.sin(theta), np.sin(phi)])
     try:
-        dt = Delaunay(ext)
+        hull = ConvexHull(rays)
     except (QhullError, ValueError) as exc:
         raise EmptyMeshError(f"triangulation failed: {exc}") from exc
-    if dt.simplices.size == 0:
-        raise EmptyMeshError("triangulation produced no simplices")
 
-    tris = mapping[dt.simplices]
-    distinct = (tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2]) \
-        & (tris[:, 0] != tris[:, 2])
-    tris = np.sort(tris[distinct], axis=1)
-    # deduplicate via scalar keys (seam duplicates fold onto their originals);
-    # ordering matches lexicographic order of the vertex triples
-    base = int(idx.max()) + 1
-    keys = (tris[:, 0].astype(np.int64) * base + tris[:, 1]) * base + tris[:, 2]
-    _, first = np.unique(keys, return_index=True)
-    tris = tris[first]
-    if tris.shape[0] == 0:
-        raise EmptyMeshError("triangulation produced no usable triangles")
+    tris = np.sort(idx[hull.simplices], axis=1)
+    tris = tris[np.lexsort(tris.T[::-1])]
     return TriangleMesh(tris, _adjacency_from_triangles(tris))
 
 
@@ -327,12 +297,13 @@ def cluster_mesh(mesh: TriangleMesh, threshold: float,
     m = len(mesh)
     normals = mesh.normals
     nx, ny, nz = normals.T.tolist()
-    # one flat list of ints, row i at [i * k, (i + 1) * k): a list per row
-    # would put one container per triangle under the cyclic garbage
-    # collector's watch and trigger full collections every few scans
+    # one flat list of ints, row i at [i * k, (i + 1) * k) with k = 3 edge
+    # slots: a list per row would put one container per triangle under the
+    # cyclic garbage collector's watch and trigger full collections every
+    # few scans
     k = mesh.neighbors.shape[1]
     table = mesh.neighbors.ravel().tolist()
-    # a trailing False slot: -1 padding reads it and is never admitted
+    # a trailing False slot: a -1 entry reads it and is never admitted
     free = [True] * m + [False]
 
     out = []
@@ -438,7 +409,7 @@ def extract_detailed(cloud: PointCloud, params: Optional[ExtractionParams] = Non
         raise TooFewPointsError(f"cannot mesh {len(cloud)} points")
 
     angles = spherical_project(cloud)
-    mesh = triangulate(angles, params.seam_margin)
+    mesh = triangulate(angles)
     mesh = prune_mesh(mesh, cloud, params.max_edge)
     smoothed = smooth_laplacian(cloud, mesh, params.smoothing_iterations,
                                 params.smoothing_weight)

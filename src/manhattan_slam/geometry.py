@@ -83,7 +83,8 @@ def _as_vec3(v, name: str = "vector") -> np.ndarray:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only C-contiguous float copy: the caller's array stays as it was."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 

@@ -116,39 +116,28 @@ def edge_jacobians_fd(mR, mt, Ri, ti, Rj, tj, step: float = 1e-6):
     return Ji, Jj
 
 
-def circumcircle(p0, p1, p2):
-    """Center and squared radius of the circle through three 2D points.
+def sphere_delaunay_violations(directions: np.ndarray, triangles: np.ndarray,
+                               tol: float = 1e-7) -> int:
+    """Count triangles whose plane has another unit direction strictly
+    beyond it, on the side away from the origin.
 
-    Returns (None, None) for (near-)collinear triples.
+    That side of the plane cuts the sphere in the triangle's circumcircle
+    cap, so a spherical Delaunay triangulation has none. It holds for every
+    hull triangle when the directions lie in no one hemisphere, as those
+    of a 360-degree scan do.
     """
-    ax, ay = p0
-    bx, by = p1
-    cx, cy = p2
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if abs(d) < 1e-14:
-        return None, None
-    ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay)
-          + (cx**2 + cy**2) * (ay - by)) / d
-    uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx)
-          + (cx**2 + cy**2) * (bx - ax)) / d
-    r2 = (ax - ux) ** 2 + (ay - uy) ** 2
-    return np.array([ux, uy]), r2
-
-
-def delaunay_empty_circumcircle_violations(points2d: np.ndarray,
-                                           triangles: np.ndarray,
-                                           rel_tol: float = 1e-6) -> int:
-    """Count triangles whose circumcircle strictly contains another point."""
     violations = 0
     for tri in triangles:
-        center, r2 = circumcircle(points2d[tri[0]], points2d[tri[1]], points2d[tri[2]])
-        if center is None:
+        a, b, c = directions[tri]
+        n = np.cross(b - a, c - a)
+        norm = np.linalg.norm(n)
+        if norm == 0.0:
             violations += 1
             continue
-        d2 = np.sum((points2d - center) ** 2, axis=1)
-        inside = d2 < r2 * (1.0 - rel_tol)
-        inside[tri] = False
-        if np.any(inside):
+        n = n / norm if n @ a >= 0.0 else -n / norm
+        beyond = directions @ n - n @ a > tol
+        beyond[tri] = False
+        if np.any(beyond):
             violations += 1
     return violations
 

@@ -36,9 +36,9 @@ from manhattan_slam.simulator import (
 
 from oracles import (
     cluster_partition_ref,
-    delaunay_empty_circumcircle_violations,
     edge_neighbors_ref,
     neighbor_sets,
+    sphere_delaunay_violations,
 )
 
 
@@ -101,29 +101,69 @@ class TestSphericalProject:
         assert np.allclose(a.theta, np.arctan2(pts[:, 1], pts[:, 0]))
 
 
+def unit_directions(angles: SphericalAngles) -> np.ndarray:
+    return np.column_stack([np.cos(angles.phi) * np.cos(angles.theta),
+                            np.cos(angles.phi) * np.sin(angles.theta),
+                            np.sin(angles.phi)])
+
+
+def random_surround_angles(rng, n: int) -> SphericalAngles:
+    """Directions all around the sensor, so they lie in no one hemisphere."""
+    return angles_from_xy(np.column_stack([rng.uniform(-math.pi, math.pi, n),
+                                           rng.uniform(-1, 1, n)]))
+
+
 class TestTriangulate:
-    def test_unit_square_two_triangles(self):
+    def test_four_directions_make_a_tetrahedron(self):
         mesh = triangulate(angles_from_xy([[0, 0], [1, 0], [0, 1], [1, 1]]))
-        assert len(mesh) == 2
+        assert len(mesh) == 4
+        for i, row in enumerate(mesh.neighbors.tolist()):
+            assert sorted(row) == [j for j in range(4) if j != i]
 
     def test_collinear_raises(self):
         with pytest.raises(EmptyMeshError):
             triangulate(angles_from_xy([[0, 0], [1, 0], [2, 0]]))
 
-    def test_empty_circumcircle_property(self):
-        rng = np.random.default_rng(1)
-        xy = np.column_stack([rng.uniform(-2, 2, 200), rng.uniform(-1, 1, 200)])
-        mesh = triangulate(angles_from_xy(xy))
-        assert delaunay_empty_circumcircle_violations(xy, mesh.triangles) == 0
+    def test_empty_circumcap_property(self):
+        angles = random_surround_angles(np.random.default_rng(1), 200)
+        mesh = triangulate(angles)
+        assert sphere_delaunay_violations(unit_directions(angles),
+                                          mesh.triangles) == 0
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
-    def test_empty_circumcircle_random(self, seed):
+    def test_empty_circumcap_random(self, seed):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(10, 120))
-        xy = np.column_stack([rng.uniform(-2, 2, n), rng.uniform(-1, 1, n)])
-        mesh = triangulate(angles_from_xy(xy))
-        assert delaunay_empty_circumcircle_violations(xy, mesh.triangles) == 0
+        angles = random_surround_angles(rng, int(rng.integers(40, 160)))
+        mesh = triangulate(angles)
+        assert sphere_delaunay_violations(unit_directions(angles),
+                                          mesh.triangles) == 0
+
+    def test_closed_mesh_on_360_scan(self):
+        # the hull of the ray directions is closed: every valid point is a
+        # vertex, every edge has two triangles, and no table entry is empty
+        angles = spherical_project(blocks_scan())
+        mesh = triangulate(angles)
+        assert np.array_equal(np.unique(mesh.triangles),
+                              np.flatnonzero(angles.valid))
+        edges = np.sort(mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]]
+                        .reshape(-1, 2), axis=1)
+        _, counts = np.unique(edges, axis=0, return_counts=True)
+        assert (counts == 2).all()
+        assert mesh.neighbors.shape == (len(mesh), 3)
+        assert (mesh.neighbors >= 0).all()
+
+    def test_table_entry_is_across_its_edge(self):
+        # entry (i, e) shares vertices e and e + 1 (mod 3) of triangle i
+        cloud = blocks_scan()
+        full = triangulate(spherical_project(cloud))
+        for mesh in (full, prune_mesh(full, cloud, max_edge=0.5)):
+            tris = mesh.triangles
+            for e in range(3):
+                i = np.flatnonzero(mesh.neighbors[:, e] >= 0)
+                across = tris[mesh.neighbors[i, e]]
+                for v in (tris[i, e], tris[i, (e + 1) % 3]):
+                    assert (across == v[:, None]).any(axis=1).all()
 
     def test_adjacency_symmetric(self):
         rng = np.random.default_rng(2)
@@ -135,8 +175,8 @@ class TestTriangulate:
                     assert i in mesh.neighbors[j]
 
     def test_neighbor_table_complete_on_360_scan(self):
-        # the seam band is meshed twice, so some edges carry three or more
-        # triangles; every one of them must list all the others
+        # every triangle lists each triangle it shares an edge with,
+        # across the azimuth seam too
         cloud = blocks_scan()
         mesh = triangulate(spherical_project(cloud))
         table = neighbor_sets(mesh.neighbors)
@@ -144,8 +184,8 @@ class TestTriangulate:
         assert table == edge_neighbors_ref(mesh.triangles)
 
     def test_seam_duplication_connects_wrap_around(self):
-        # A full 360-degree ring of points: without seam handling the chart
-        # tears at theta = +-pi; with it, triangles must bridge the seam.
+        # A full 360-degree ring of points: a flat (theta, phi) chart would
+        # tear at theta = +-pi; on the sphere, triangles must bridge it.
         theta = np.linspace(-math.pi, math.pi, 72, endpoint=False)
         phi_rows = [-0.1, 0.0, 0.1]
         th = np.repeat(theta, len(phi_rows))
@@ -459,8 +499,7 @@ class TestExtract:
         cloud = raycast_scan(scene, spec.waypoints[0], cfg)
         params = ExtractionParams(min_cluster_size=50, **ROOM_PARAMS)
         angles = spherical_project(cloud)
-        mesh = prune_mesh(triangulate(angles, params.seam_margin), cloud,
-                          params.max_edge)
+        mesh = prune_mesh(triangulate(angles), cloud, params.max_edge)
         smoothed = smooth_laplacian(cloud, mesh, params.smoothing_iterations,
                                     params.smoothing_weight)
         mesh = compute_normals(mesh, smoothed)

@@ -292,6 +292,19 @@ class TestContainers:
         with pytest.raises(InvalidPoseError):
             Pose(np.eye(3) * 2.0, np.zeros(3))
 
+    def test_arguments_stay_writeable(self):
+        R, t, p, B = np.eye(3), np.zeros(3), np.zeros((4, 3)), np.eye(3)
+        c, sx, sy = np.ones(3), np.array([2.0, 0.0, 0.0]), np.array([0.0, 3.0, 0.0])
+        pose, plane, cloud = Pose(R, t), Plane(c, sx, sy), PointCloud(p)
+        basis = as_basis(B)
+        for a in (R, t, c, sx, sy, p, B):
+            a[0] = a[0]
+        for a in (pose.R, pose.t, plane.center, plane.span_x, plane.span_y,
+                  plane.normal, cloud.points, basis):
+            assert not a.flags.writeable
+        R[0, 0] = 2.0
+        assert pose.R[0, 0] == 1.0
+
     def test_plane_set_caches_are_consistent(self):
         rng = np.random.default_rng(5)
         planes = [random_plane(rng) for _ in range(6)]

@@ -278,6 +278,9 @@ class TestConfig:
             PipelineConfig.from_dict({"extraction": {"not_a_knob": 1}})
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"pipeline": {"warp_speed": 9}})
+        # meshing on the sphere has no azimuth seam band to size
+        with pytest.raises(ConfigError, match="seam_margin"):
+            PipelineConfig.from_dict({"extraction": {"seam_margin": 0.35}})
 
     @pytest.mark.parametrize("section, key, value", [
         ("extraction", "max_edge", "2"),
