@@ -130,18 +130,33 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _numbers(text: str, count: int, flag: str) -> np.ndarray:
+    """The ``count`` comma-separated finite numbers given to ``flag``."""
+    try:
+        vals = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        vals = np.array([])
+    if vals.shape != (count,) or not np.isfinite(vals).all():
+        raise ValueError(f"{flag} takes {count} comma-separated finite "
+                         f"numbers, got {text!r}")
+    return vals
+
+
 def _cmd_plan(args) -> int:
     plane_map = load_map(args.map)
     if args.bounds:
-        vals = [float(v) for v in args.bounds.split(",")]
-        bounds = Bounds(np.array(vals[:3]), np.array(vals[3:]))
+        vals = _numbers(args.bounds, 6, "--bounds")
+        try:
+            bounds = Bounds(vals[:3], vals[3:])
+        except ValueError as exc:
+            raise ValueError(f"--bounds: {exc}") from None
     else:
         if len(plane_map) == 0:
             raise PipelineError(f"map {args.map} has no planes to take the "
                                 "sampling bounds from; pass --bounds")
         corners = plane_map.planes.corners.reshape(-1, 3)
         bounds = Bounds(corners.min(axis=0) - 1.0, corners.max(axis=0) + 1.0)
-    start = np.array([float(v) for v in args.start.split(",")])
+    start = _numbers(args.start, 3, "--start")
     tree = rrt_build(plane_map, start, bounds, args.n_nodes, args.step,
                      seed=args.seed)
     with open(args.out, "w") as f:

@@ -89,15 +89,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def cross3(a, b) -> np.ndarray:
-    """Cross product of two float 3-vectors, bit for bit ``np.cross(a, b)``.
+def cross3(a, b) -> list:
+    """Cross product of two 3-vectors as a list, bit for bit ``np.cross(a, b)``.
 
-    The same three multiply/subtract pairs on Python floats, without
-    ``np.cross``'s broadcasting machinery, which dominates for one pair.
+    The same three multiply/subtract pairs, on Python floats for float
+    lists: the form of per-pair loops, where ``np.cross``'s broadcasting
+    machinery would dominate.
     """
-    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
 
 
 def skew(v: np.ndarray) -> np.ndarray:

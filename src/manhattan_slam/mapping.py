@@ -7,11 +7,17 @@ until no pair qualifies, so a map is always merge-saturated. Cleanup removes
 small fragments and snaps nearby plane edges onto their common line, which
 closes the hairline gaps left by partial observations at wall/floor
 junctions and between wall segments.
+
+One update derives the set's frames a few times, plus once per pairwise
+merge, not once per edit: saturation keeps one merge gate across its merges
+and recomputes only the merged row's entries, and each edge-fusing pass
+edits the rows as Python floats and builds one set at its end.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -77,31 +83,51 @@ def _edited(planes: PlaneSet, rows: dict[int, Row], keep=slice(None)) -> PlaneSe
     return PlaneSet.from_rows(C[keep], SX[keep], SY[keep])
 
 
-def _gate_matrix(planes: PlaneSet, params: "MappingParams") -> np.ndarray:
-    """Ordered-pair merge-condition matrix over a plane set.
+def _dot(a, b):
+    """``a . b`` over the first axis, summed in one fixed order: of two
+    Python float 3-lists a float, of (3, ...) arrays the broadcast entries,
+    each rounding alike in any array shape."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
-    ``gate[i, j]`` is True when plane j should merge into plane i: (1)
-    nearly parallel normals, (2) a small distance from j's center to i's
-    plane, and (3) overlapping 2D boxes when both are projected onto i's
-    frame. Row-major argwhere order therefore matches a nested (i, j) scan.
+
+def _extent(c, sx, sy, axis):
+    """(lo, hi) of a rectangle projected onto a unit axis: its center's
+    coordinate minus and plus half its projected spans."""
+    mid = _dot(c, axis)
+    half = 0.5 * (abs(_dot(sx, axis)) + abs(_dot(sy, axis)))
+    return mid - half, mid + half
+
+
+def _gate_block(planes: PlaneSet, I, J, params: MappingParams) -> np.ndarray:
+    """Merge conditions ``gate[a, b]`` of anchor rows ``I`` against partner
+    rows ``J`` (index lists): True when plane b should merge into plane a.
+
+    (1) nearly parallel normals, (2) a small distance from b's center to
+    a's plane, and (3) overlapping 2D boxes when both are projected onto
+    a's frame. An entry is computed from rows a and b alone, entry by
+    entry, so it rounds alike in every block that holds it.
     """
-    n = len(planes)
-    if n == 0:
-        return np.zeros((0, 0), dtype=bool)
-    N, C, B, corners = planes.normals, planes.centers, planes.bases, planes.corners
-
-    g1 = np.abs(N @ N.T) > params.coplanar_threshold
-    dots = N @ C.T
-    g2 = np.abs(dots - np.einsum("ij,ij->i", N, C)[:, None]) \
+    N, C, SX, SY = (a.T for a in (planes.normals, planes.centers,
+                                  planes.span_x, planes.span_y))
+    na = N[:, I, None]
+    gate = np.abs(_dot(na, N[:, None, J])) > params.coplanar_threshold
+    gate &= np.abs(_dot(na, C[:, None, J] - C[:, I, None])) \
         < params.distance_threshold
-    proj = np.einsum("jca,iak->ijck", corners, B)
-    lo = proj.min(axis=2)[..., :2]
-    hi = proj.max(axis=2)[..., :2]
-    rng = np.arange(n)
-    lo_own, hi_own = lo[rng, rng], hi[rng, rng]
-    g3 = np.all(np.minimum(hi_own[:, None], hi)
-                >= np.maximum(lo_own[:, None], lo) - 1e-9, axis=2)
-    gate = g1 & g2 & g3
+    for m in (0, 1):
+        axis = planes.bases[I, :, m].T[:, :, None]
+        lo_a, hi_a = _extent(C[:, I, None], SX[:, I, None], SY[:, I, None], axis)
+        lo_b, hi_b = _extent(C[:, None, J], SX[:, None, J], SY[:, None, J], axis)
+        gate &= np.minimum(hi_a, hi_b) >= np.maximum(lo_a, lo_b) - 1e-9
+    return gate
+
+
+def _gate_matrix(planes: PlaneSet, params: MappingParams) -> np.ndarray:
+    """Ordered-pair merge-condition matrix over a plane set, the
+    :func:`_gate_block` of every row against every row with a False
+    diagonal. Row-major argwhere order therefore matches a nested (i, j)
+    scan."""
+    every = np.arange(len(planes))
+    gate = _gate_block(planes, every, every, params)
     np.fill_diagonal(gate, False)
     return gate
 
@@ -148,17 +174,31 @@ def _merge_group(planes: PlaneSet, idx: Sequence[int]) -> Row:
     return next(zip(*rows))
 
 
+def _regate(gate: np.ndarray, planes: PlaneSet, order: list, at: int,
+            params: MappingParams) -> np.ndarray:
+    """The merge gate of ``planes``, whose rows are the rows ``order`` of
+    the set ``gate`` was taken on, row ``at`` new. A gate entry depends on
+    its two rows alone, so the kept entries move to the new order and only
+    row and column ``at`` are computed afresh."""
+    gate = gate[np.ix_(order, order)]
+    every = np.arange(len(order))
+    gate[at] = _gate_block(planes, [at], every, params)[0]
+    gate[:, at] = _gate_block(planes, every, [at], params)[:, 0]
+    gate[at, at] = False
+    return gate
+
+
 def _saturate(planes: PlaneSet, params: MappingParams) -> PlaneSet:
-    """Merge pairs until no ordered pair satisfies the merge condition."""
-    while len(planes) > 1:
-        hits = np.argwhere(_gate_matrix(planes, params))
-        if hits.size == 0:
-            break
-        i, j = int(hits[0, 0]), int(hits[0, 1])
+    """Merge pairs until no ordered pair satisfies the merge condition,
+    keeping one gate across the merges."""
+    gate = _gate_matrix(planes, params)
+    while gate.any():
+        i, j = (int(k) for k in np.argwhere(gate)[0])
         rest = [k for k in range(len(planes)) if k not in (i, j)]
         # the merged row goes first when the anchor precedes its partner
-        planes = _edited(planes, {i: _merge_group(planes, [i, j])},
-                         [i, *rest] if i < j else [*rest, i])
+        order = [i, *rest] if i < j else [*rest, i]
+        planes = _edited(planes, {i: _merge_group(planes, [i, j])}, order)
+        gate = _regate(gate, planes, order, order.index(i), params)
     return planes
 
 
@@ -187,6 +227,14 @@ def merge_plane_sets(map_set: PlaneSet, new_set: PlaneSet,
     return _saturate(_edited(both, merged, keep), params)
 
 
+def _float_rows(planes: PlaneSet) -> tuple[list, ...]:
+    """Centers, span_x, span_y, half extents, normals and frames (rows
+    ``b_x, b_y, b_z``) of a set as Python float lists, for the fuse passes'
+    per-pair loops."""
+    return (*(a.tolist() for a in _rows(planes)), planes.half_extents.tolist(),
+            planes.normals.tolist(), planes.bases.transpose(0, 2, 1).tolist())
+
+
 def _fuse_perpendicular(planes: PlaneSet, params: MappingParams) -> PlaneSet:
     """Snap nearest edges of perpendicular plane pairs onto their common line.
 
@@ -194,45 +242,50 @@ def _fuse_perpendicular(planes: PlaneSet, params: MappingParams) -> PlaneSet:
     normals and the map's orthogonality are untouched. Requires the common
     line to align with one of the plane's span axes and the two planes to
     overlap along the line direction.
-    """
-    for i, j in _proximity_pairs(planes, params.edge_fuse_distance):
-        # read the set afresh: an earlier pair may have edited it
-        N, C, H = planes.normals, planes.centers, planes.half_extents
-        if abs(float(N[i] @ N[j])) <= 0.1:
-            u = cross3(N[i], N[j])
-            u /= np.linalg.norm(u)
-            # a point on the intersection line of the two infinite planes
-            A = np.array([N[i], N[j], u])
-            rhs = np.array([float(N[i] @ C[i]), float(N[j] @ C[j]), 0.0])
-            point = np.linalg.solve(A, rhs)
 
-            Ba = planes.bases[i]
-            along = [abs(float(u @ Ba[:, 0])), abs(float(u @ Ba[:, 1]))]
-            k = int(np.argmax(along))          # span axis parallel to the line
-            if along[k] < params.axis_alignment:
-                continue
-            w = 1 - k                          # span axis crossing the line
-            ca = C[i] @ Ba
-            line_b = point @ Ba
-            edges = [ca[w] - H[i, w], ca[w] + H[i, w]]
-            dist = [abs(e - line_b[w]) for e in edges]
-            side = int(np.argmin(dist))
-            if dist[side] > params.edge_fuse_distance or dist[side] == 0.0:
-                continue
-            # overlap along the line direction
-            box = planes.corners[[i, j]] @ Ba
-            lo, hi = box.min(axis=1), box.max(axis=1)
-            if min(hi[0, k], hi[1, k]) < max(lo[0, k], lo[1, k]):
-                continue
-            new_edges = sorted([edges[1 - side], float(line_b[w])])
-            new_span = new_edges[1] - new_edges[0]
-            if new_span <= 1e-12:
-                continue
-            ca[w] = 0.5 * (new_edges[0] + new_edges[1])
-            spans = [planes.span_x[i], planes.span_y[i]]
-            spans[w] = new_span * Ba[:, w]
-            planes = _edited(planes, {i: (ca @ Ba.T, *spans)})
-    return planes
+    The pass runs on the rows as Python floats. A snap rewrites its row's
+    center, span and half extent in place, and later pairs read the updated
+    row; it rescales a span without turning it, so the row keeps its frame.
+    """
+    reach = params.edge_fuse_distance
+    C, SX, SY, H, N, F = _float_rows(planes)
+    changed = False
+    for i, j in _proximity_pairs(planes, reach).tolist():
+        ni, nj = N[i], N[j]
+        if abs(_dot(ni, nj)) > 0.1:
+            continue
+        u = cross3(ni, nj)
+        norm = math.sqrt(_dot(u, u))
+        u = [x / norm for x in u]
+        along = [abs(_dot(u, F[i][0])), abs(_dot(u, F[i][1]))]
+        k = 0 if along[0] >= along[1] else 1    # span axis parallel to the line
+        if along[k] < params.axis_alignment:
+            continue
+        w, bw = 1 - k, F[i][1 - k]              # span axis crossing the line
+        # the point of both planes with p . u = 0, on axis w:
+        # p = (d_i (n_j x u) + d_j (u x n_i)) / (n_i . (n_j x u))
+        nju, uni = cross3(nj, u), cross3(u, ni)
+        line = (_dot(ni, C[i]) * _dot(nju, bw)
+                + _dot(nj, C[j]) * _dot(uni, bw)) / _dot(ni, nju)
+        mid = _dot(C[i], bw)
+        edges = [mid - H[i][w], mid + H[i][w]]
+        dist = [abs(e - line) for e in edges]
+        side = 0 if dist[0] <= dist[1] else 1
+        if dist[side] > reach or dist[side] == 0.0:
+            continue
+        # overlap along the line direction
+        lo_i, hi_i = _extent(C[i], SX[i], SY[i], F[i][k])
+        lo_j, hi_j = _extent(C[j], SX[j], SY[j], F[i][k])
+        if min(hi_i, hi_j) < max(lo_i, lo_j):
+            continue
+        lo, hi = sorted([edges[1 - side], line])
+        if hi - lo <= 1e-12:
+            continue
+        C[i] = [c + (0.5 * (lo + hi) - mid) * b for c, b in zip(C[i], bw)]
+        (SX, SY)[w][i] = [(hi - lo) * b for b in bw]
+        H[i][w] = 0.5 * (hi - lo)
+        changed = True
+    return PlaneSet.from_rows(C, SX, SY) if changed else planes
 
 
 def _fuse_parallel(planes: PlaneSet, params: MappingParams) -> PlaneSet:
@@ -240,43 +293,48 @@ def _fuse_parallel(planes: PlaneSet, params: MappingParams) -> PlaneSet:
 
     Applies when the boxes overlap along one in-plane axis and leave a gap
     no wider than the fuse distance along the other; both facing edges move
-    to the midline so a later merge pass can unify the pair.
+    to the midline so a later merge pass can unify the pair. Runs on the
+    rows as Python floats, as :func:`_fuse_perpendicular` does; both
+    resized rows take the first plane's frame.
     """
-    for i, j in _proximity_pairs(planes, params.edge_fuse_distance):
-        if i < j:
-            N, C, B = planes.normals, planes.centers, planes.bases
-            if abs(float(N[i] @ N[j])) < params.coplanar_threshold:
+    reach = params.edge_fuse_distance
+    C, SX, SY, H, N, F = _float_rows(planes)
+    changed = False
+    for i, j in _proximity_pairs(planes, reach).tolist():
+        if i > j or abs(_dot(N[i], N[j])) < params.coplanar_threshold:
+            continue
+        if abs(_dot(N[i], [cj - ci for ci, cj in zip(C[i], C[j])])) > reach:
+            continue
+        Fa, Fb = F[i], F[j]
+        # b's box axes must align with a's for an extent-only adjustment
+        if min(max(abs(_dot(Fb[0], axis)), abs(_dot(Fb[1], axis)))
+               for axis in Fa[:2]) < params.axis_alignment:
+            continue
+        # box[r][m]: [lo, hi] of row (i, j)[r] along a's axis m
+        box = [[list(_extent(C[r], SX[r], SY[r], axis)) for axis in Fa[:2]]
+               for r in (i, j)]
+        for gap_axis in (0, 1):
+            (lo_a, hi_a), (lo_b, hi_b) = box[0][1 - gap_axis], box[1][1 - gap_axis]
+            if min(hi_a, hi_b) < max(lo_a, lo_b):
                 continue
-            if abs(float(N[i] @ (C[j] - C[i]))) > params.edge_fuse_distance:
+            ea, eb = box[0][gap_axis], box[1][gap_axis]
+            gap = max(eb[0] - ea[1], ea[0] - eb[1])
+            if not (0.0 < gap <= reach):
                 continue
-            Ba, Bb = B[i], B[j]
-            # b's box axes must align with a's for an extent-only adjustment
-            align = np.array([Bb[:, 0], Bb[:, 1]]) @ Ba
-            if np.max(np.abs(align[:, :2]), axis=0).min() < params.axis_alignment:
-                continue
-            box = planes.corners[[i, j]] @ Ba
-            lo, hi = box.min(axis=1), box.max(axis=1)
-            (lo_a, lo_b), (hi_a, hi_b) = lo, hi
-            for gap_axis in (0, 1):
-                other = 1 - gap_axis
-                if min(hi_a[other], hi_b[other]) < max(lo_a[other], lo_b[other]):
-                    continue
-                gap = max(lo_b[gap_axis] - hi_a[gap_axis],
-                          lo_a[gap_axis] - hi_b[gap_axis])
-                if not (0.0 < gap <= params.edge_fuse_distance):
-                    continue
-                if lo_b[gap_axis] > hi_a[gap_axis]:
-                    mid = 0.5 * (hi_a[gap_axis] + lo_b[gap_axis])
-                    hi_a[gap_axis] = lo_b[gap_axis] = mid
-                else:
-                    mid = 0.5 * (hi_b[gap_axis] + lo_a[gap_axis])
-                    lo_a[gap_axis] = hi_b[gap_axis] = mid
-                # both resized boxes are taken in a's frame
-                coords = [(C[k] @ Ba)[2] for k in (i, j)]
-                rows = box_rows(Ba, [2, 2], [1.0, 1.0], coords, lo, hi)
-                planes = _edited(planes, dict(zip((i, j), zip(*rows))))
-                break
-    return planes
+            if eb[0] > ea[1]:
+                ea[1] = eb[0] = 0.5 * (ea[1] + eb[0])
+            else:
+                ea[0] = eb[1] = 0.5 * (eb[1] + ea[0])
+            for r, ((lo_x, hi_x), (lo_y, hi_y)) in zip((i, j), box):
+                center = [0.5 * (lo_x + hi_x), 0.5 * (lo_y + hi_y), _dot(C[r], Fa[2])]
+                C[r] = [_dot(center, col) for col in zip(*Fa)]
+                SX[r] = [(hi_x - lo_x) * x for x in Fa[0]]
+                SY[r] = [(hi_y - lo_y) * y for y in Fa[1]]
+                H[r] = [0.5 * (hi_x - lo_x), 0.5 * (hi_y - lo_y)]
+            N[j], F[j] = N[i], F[i]
+            changed = True
+            break
+    return PlaneSet.from_rows(C, SX, SY) if changed else planes
 
 
 def cleanup_map(plane_map: PlaneMap, params: Optional[MappingParams] = None) -> PlaneMap:

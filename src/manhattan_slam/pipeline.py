@@ -180,7 +180,8 @@ class RunReport:
     """Per-frame stage timings plus run-level metrics."""
 
     stage_ms: dict = field(default_factory=lambda: {s: [] for s in STAGES})
-    failed_frames: list = field(default_factory=list)
+    # failed frame -> "ErrorType: message" of the error that failed it
+    failure_reasons: dict = field(default_factory=dict)
     n_frames: int = 0
     loop_closures: int = 0
     optimizations: int = 0
@@ -188,6 +189,10 @@ class RunReport:
     metrics: Optional[TrajectoryMetrics] = None
     map_bytes: Optional[int] = None
     cloud_bytes: Optional[int] = None
+
+    @property
+    def failed_frames(self) -> list:
+        return list(self.failure_reasons)
 
     def stage_mean(self, stage: str) -> float:
         vals = self.stage_ms[stage]
@@ -217,7 +222,8 @@ class RunReport:
     def to_dict(self) -> dict:
         out = {
             "n_frames": self.n_frames,
-            "failed_frames": list(self.failed_frames),
+            "failed_frames": self.failed_frames,
+            "failure_reasons": {str(k): v for k, v in self.failure_reasons.items()},
             "loop_closures": self.loop_closures,
             "optimizations": self.optimizations,
             "stage_ms_mean": {s: self.stage_mean(s) for s in STAGES},
@@ -268,7 +274,7 @@ def run_slam(scans: Sequence[PointCloud], config: Optional[PipelineConfig] = Non
 
     for k in range(len(scans)):
         t_frame = time.perf_counter()
-        failed = False
+        failure: Optional[Exception] = None
 
         t0 = time.perf_counter()
         plane_set = PlaneSet()
@@ -278,15 +284,15 @@ def run_slam(scans: Sequence[PointCloud], config: Optional[PipelineConfig] = Non
             plane_set = res.plane_set
             if len(plane_set) == 0:
                 raise ExtractionError("no planes extracted")
-        except ExtractionError:
-            failed = True
+        except ExtractionError as exc:
+            failure = exc
         extraction_ms = 1e3 * (time.perf_counter() - t0)
 
         # with no earlier good frame there is nothing to register against:
         # the first frame with planes keeps the held pose and seeds the map
         rel = Pose.identity()
         t0 = time.perf_counter()
-        if not failed and last_good_set is not None:
+        if failure is None and last_good_set is not None:
             try:
                 rr = register(plane_set, last_good_set, config.registration)
                 rel = registration_to_relative(graph.pose(len(graph) - 1),
@@ -296,10 +302,11 @@ def run_slam(scans: Sequence[PointCloud], config: Optional[PipelineConfig] = Non
                         0.0, np.radians(config.odometry_noise_sigma_r_deg), 3)
                     dt = noise_rng.normal(0.0, config.odometry_noise_sigma_t, 3)
                     rel = Pose(so3_exp(w) @ rel.R, rel.t + dt)
-            except RegistrationError:
-                failed = True
+            except RegistrationError as exc:
+                failure = exc
                 rel = Pose.identity()
         registration_ms = 1e3 * (time.perf_counter() - t0)
+        failed = failure is not None
 
         node_set = plane_set if not failed else PlaneSet()
         if graph is None:
@@ -308,7 +315,7 @@ def run_slam(scans: Sequence[PointCloud], config: Optional[PipelineConfig] = Non
         else:
             node = graph.add_frame(node_set, rel)
         if failed:
-            report.failed_frames.append(k)
+            report.failure_reasons[k] = f"{type(failure).__name__}: {failure}"
         else:
             last_good_set = plane_set
             if not res.used_fallback_basis:

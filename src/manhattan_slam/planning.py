@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import PlaneSet
+from .geometry import PlaneSet, _as_vec3
 
 __all__ = [
     "Segment",
@@ -46,14 +46,14 @@ class Segment:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Axis-aligned sampling region."""
+    """Axis-aligned sampling region between two finite 3-vectors."""
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, float)
-        hi = np.asarray(self.hi, float)
+        lo = _as_vec3(self.lo, "bounds lo")
+        hi = _as_vec3(self.hi, "bounds hi")
         if not np.all(hi > lo):
             raise ValueError("bounds must have positive extent")
         object.__setattr__(self, "lo", lo)
@@ -118,10 +118,14 @@ def rrt_build(plane_map, start: np.ndarray, bounds: Bounds, n_nodes: int,
     ``step`` toward the sample, and keeps the new node iff the connecting
     segment is collision-free. Stops after ``n_nodes`` nodes (including the
     start) or ``100 * n_nodes`` samples, whichever comes first; an
-    under-populated tree is flagged via ``complete=False``.
+    under-populated tree is flagged via ``complete=False``. ``start`` must
+    be a finite 3-vector and ``step`` positive.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step!r}")
+    start = _as_vec3(start, "start")
     planes = _plane_set(plane_map)
     centers_local = _local_centers(planes)
 

@@ -5,11 +5,15 @@ enumeration, dense sampling, and scipy reference routines only. The scalar
 twins of batched program code (``plane_basis_ref``, ``corners_ref``,
 ``box_row_ref``, ``transform_plane_ref``, ``merge_condition``,
 ``segment_plane_intersect``, ``cluster_partition_ref``) share no more than
-``Plane`` and ``cross3`` with it; coordinates in a basis ``B`` (a (3, 3)
-array, columns ``b_x, b_y, b_z``) are ``p @ B``.
+``Plane`` with it; coordinates in a basis ``B`` (a (3, 3) array, columns
+``b_x, b_y, b_z``) are ``p @ B``.
 ``correspondence_cost`` and ``edge_error`` are the one-pair forms of
 program quantities that only the tests use; ``edge_error`` wraps the
 program's batched ``pose_graph._edge_errors``.
+``fuse_perpendicular_ref``, ``fuse_parallel_ref`` and ``saturate_ref`` are
+the map-editing passes written one edit at a time: each edit rebuilds the
+whole set through ``mapping._edited``, and saturation takes the full
+``mapping._gate_matrix`` again after every merge.
 """
 
 from __future__ import annotations
@@ -19,8 +23,14 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.transform import Rotation
 
-from manhattan_slam.geometry import Plane, Pose, cross3
-from manhattan_slam.mapping import MappingParams
+from manhattan_slam.geometry import Plane, PlaneSet, Pose, box_rows
+from manhattan_slam.mapping import (
+    MappingParams,
+    _edited,
+    _gate_matrix,
+    _merge_group,
+    _proximity_pairs,
+)
 from manhattan_slam.pose_graph import _edge_errors
 
 
@@ -41,7 +51,7 @@ def plane_basis_ref(p: Plane) -> np.ndarray:
     their normalised cross product, the plane's unit normal, as columns."""
     bx = p.span_x / np.linalg.norm(p.span_x)
     by = p.span_y / np.linalg.norm(p.span_y)
-    bz = cross3(bx, by)
+    bz = np.cross(bx, by)
     return np.column_stack([bx, by, bz / np.linalg.norm(bz)])
 
 
@@ -311,3 +321,102 @@ def cluster_partition_ref(neighbors: np.ndarray, normals: np.ndarray,
         free[members] = False
         clusters.append(members)
     return clusters
+
+
+def saturate_ref(planes: PlaneSet, params: MappingParams) -> PlaneSet:
+    """``mapping._saturate`` with the full gate matrix taken again after
+    every pairwise merge."""
+    while len(planes) > 1:
+        hits = np.argwhere(_gate_matrix(planes, params))
+        if hits.size == 0:
+            break
+        i, j = int(hits[0, 0]), int(hits[0, 1])
+        rest = [k for k in range(len(planes)) if k not in (i, j)]
+        # the merged row goes first when the anchor precedes its partner
+        planes = _edited(planes, {i: _merge_group(planes, [i, j])},
+                         [i, *rest] if i < j else [*rest, i])
+    return planes
+
+
+def fuse_perpendicular_ref(planes: PlaneSet, params: MappingParams) -> PlaneSet:
+    """``mapping._fuse_perpendicular`` on numpy rows, one pair at a time:
+    the common line's point from a 3x3 solve, the overlap from corner
+    min/max, and each accepted snap rebuilding the whole set."""
+    for i, j in _proximity_pairs(planes, params.edge_fuse_distance):
+        # read the set afresh: an earlier pair may have edited it
+        N, C, H = planes.normals, planes.centers, planes.half_extents
+        if abs(float(N[i] @ N[j])) <= 0.1:
+            u = np.cross(N[i], N[j])
+            u /= np.linalg.norm(u)
+            # a point on the intersection line of the two infinite planes
+            A = np.array([N[i], N[j], u])
+            rhs = np.array([float(N[i] @ C[i]), float(N[j] @ C[j]), 0.0])
+            point = np.linalg.solve(A, rhs)
+
+            Ba = planes.bases[i]
+            along = [abs(float(u @ Ba[:, 0])), abs(float(u @ Ba[:, 1]))]
+            k = int(np.argmax(along))          # span axis parallel to the line
+            if along[k] < params.axis_alignment:
+                continue
+            w = 1 - k                          # span axis crossing the line
+            ca = C[i] @ Ba
+            line_b = point @ Ba
+            edges = [ca[w] - H[i, w], ca[w] + H[i, w]]
+            dist = [abs(e - line_b[w]) for e in edges]
+            side = int(np.argmin(dist))
+            if dist[side] > params.edge_fuse_distance or dist[side] == 0.0:
+                continue
+            # overlap along the line direction
+            box = planes.corners[[i, j]] @ Ba
+            lo, hi = box.min(axis=1), box.max(axis=1)
+            if min(hi[0, k], hi[1, k]) < max(lo[0, k], lo[1, k]):
+                continue
+            new_edges = sorted([edges[1 - side], float(line_b[w])])
+            new_span = new_edges[1] - new_edges[0]
+            if new_span <= 1e-12:
+                continue
+            ca[w] = 0.5 * (new_edges[0] + new_edges[1])
+            spans = [planes.span_x[i], planes.span_y[i]]
+            spans[w] = new_span * Ba[:, w]
+            planes = _edited(planes, {i: (ca @ Ba.T, *spans)})
+    return planes
+
+
+def fuse_parallel_ref(planes: PlaneSet, params: MappingParams) -> PlaneSet:
+    """``mapping._fuse_parallel`` on numpy rows, one pair at a time: boxes
+    from corner min/max, each accepted snap rebuilding the whole set."""
+    for i, j in _proximity_pairs(planes, params.edge_fuse_distance):
+        if i < j:
+            N, C, B = planes.normals, planes.centers, planes.bases
+            if abs(float(N[i] @ N[j])) < params.coplanar_threshold:
+                continue
+            if abs(float(N[i] @ (C[j] - C[i]))) > params.edge_fuse_distance:
+                continue
+            Ba, Bb = B[i], B[j]
+            # b's box axes must align with a's for an extent-only adjustment
+            align = np.array([Bb[:, 0], Bb[:, 1]]) @ Ba
+            if np.max(np.abs(align[:, :2]), axis=0).min() < params.axis_alignment:
+                continue
+            box = planes.corners[[i, j]] @ Ba
+            lo, hi = box.min(axis=1), box.max(axis=1)
+            (lo_a, lo_b), (hi_a, hi_b) = lo, hi
+            for gap_axis in (0, 1):
+                other = 1 - gap_axis
+                if min(hi_a[other], hi_b[other]) < max(lo_a[other], lo_b[other]):
+                    continue
+                gap = max(lo_b[gap_axis] - hi_a[gap_axis],
+                          lo_a[gap_axis] - hi_b[gap_axis])
+                if not (0.0 < gap <= params.edge_fuse_distance):
+                    continue
+                if lo_b[gap_axis] > hi_a[gap_axis]:
+                    mid = 0.5 * (hi_a[gap_axis] + lo_b[gap_axis])
+                    hi_a[gap_axis] = lo_b[gap_axis] = mid
+                else:
+                    mid = 0.5 * (hi_b[gap_axis] + lo_a[gap_axis])
+                    lo_a[gap_axis] = hi_b[gap_axis] = mid
+                # both resized boxes are taken in a's frame
+                coords = [(C[k] @ Ba)[2] for k in (i, j)]
+                rows = box_rows(Ba, [2, 2], [1.0, 1.0], coords, lo, hi)
+                planes = _edited(planes, dict(zip((i, j), zip(*rows))))
+                break
+    return planes

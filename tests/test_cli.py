@@ -129,3 +129,21 @@ def test_plan_on_malformed_map_names_the_problem(tmp_path, capsys):
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MapFormatError" and problem in err["message"]
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--bounds", "0,0,0,1,1"], "--bounds"),
+    (["--bounds", "0,0,0,1,x,1"], "--bounds"),
+    (["--bounds", "0,0,0,1,inf,1"], "--bounds"),
+    (["--bounds", "0,0,0,1,-1,1"], "--bounds"),
+    (["--start", "0,0"], "--start"),
+    (["--start", "0,nan,1"], "--start"),
+])
+def test_plan_names_the_bad_flag(flags, flag, tmp_path, capsys):
+    map_path = tmp_path / "empty.json"
+    save_map(map_path, PlaneMap())
+    rc = main(["plan", "--map", str(map_path), "--out", str(tmp_path / "tree.json"),
+               "--bounds=-1,-1,-1,1,1,1", *flags])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and flag in err["message"]

@@ -24,9 +24,22 @@ from manhattan_slam.mapping import (
     save_map,
     update_map,
 )
-from manhattan_slam.mapping import _gate_matrix
+from manhattan_slam import geometry, mapping
+from manhattan_slam.mapping import (
+    _fuse_parallel,
+    _fuse_perpendicular,
+    _gate_matrix,
+    _saturate,
+)
 
-from oracles import corners_ref, merge_condition, random_rotation
+from oracles import (
+    corners_ref,
+    fuse_parallel_ref,
+    fuse_perpendicular_ref,
+    merge_condition,
+    random_rotation,
+    saturate_ref,
+)
 
 
 def square(center, normal_axis=2, size=(1.0, 1.0)) -> Plane:
@@ -34,6 +47,85 @@ def square(center, normal_axis=2, size=(1.0, 1.0)) -> Plane:
     sx, sy = np.zeros(3), np.zeros(3)
     sx[u], sy[v] = size
     return Plane(np.asarray(center, float), sx, sy)
+
+
+def manhattan_set(rng, n=12, jitter=0.12, axes=(0, 1, 2)) -> PlaneSet:
+    """Rectangles of a turned and shifted Manhattan frame, facing along
+    ``axes``, whose planes sit at levels 0, 1 and 2 m along their normal
+    axis and whose edges sit at those levels too, each moved by up to
+    ``jitter``: many edges lie within ``edge_fuse_distance`` of another
+    plane, and many coplanar pairs overlap or nearly touch."""
+    R, t = random_rotation(rng), rng.uniform(-5.0, 5.0, 3)
+    planes = []
+    for _ in range(n):
+        axis = int(rng.choice(axes))
+        u, v = (axis + 1) % 3, (axis + 2) % 3
+        center, spans = np.empty(3), np.zeros((2, 3))
+        center[axis] = rng.integers(3) + rng.uniform(-jitter, jitter)
+        for row, k in enumerate((u, v)):
+            lo, hi = np.sort(rng.choice(3, 2, replace=False)) \
+                + rng.uniform(-jitter, jitter, 2)
+            center[k] = 0.5 * (lo + hi)
+            spans[row, k] = hi - lo
+        if rng.random() < 0.5:          # the other facing
+            spans = spans[::-1]
+        planes.append(Plane(R @ center + t, R @ spans[0], R @ spans[1]))
+    return PlaneSet(planes)
+
+
+def assert_rows_close(got: PlaneSet, want: PlaneSet, tol: float = 1e-12):
+    assert len(got) == len(want)
+    for a, b in ((got.centers, want.centers), (got.span_x, want.span_x),
+                 (got.span_y, want.span_y)):
+        assert np.abs(a - b).max(initial=0.0) <= tol
+
+
+def changed_rows(before: PlaneSet, after: PlaneSet) -> int:
+    return int(np.any(before.centers != after.centers, axis=1).sum())
+
+
+class TestEditPassesMatchOracles:
+    """The fuse passes on float rows and the saturation that keeps its gate
+    against their one-edit-at-a-time forms in ``oracles``."""
+
+    SEEDS = range(40)
+
+    def test_fuse_perpendicular(self):
+        # two facings: with three, two planes snapped onto a third's line
+        # can end exactly there, on either side of it, and whether they
+        # then overlap along it is decided by rounding, which the float rows
+        # and the oracle's corner min/max do differently
+        params, snapped = MappingParams(), 0
+        for seed in self.SEEDS:
+            planes = manhattan_set(np.random.default_rng(seed), axes=(0, 2))
+            out = _fuse_perpendicular(planes, params)
+            assert_rows_close(out, fuse_perpendicular_ref(planes, params))
+            snapped += changed_rows(planes, out)
+        assert snapped > len(self.SEEDS)     # the sets exercise the snaps
+
+    def test_fuse_parallel(self):
+        params, snapped = MappingParams(), 0
+        for seed in self.SEEDS:
+            planes = manhattan_set(np.random.default_rng(seed))
+            out = _fuse_parallel(planes, params)
+            assert_rows_close(out, fuse_parallel_ref(planes, params))
+            snapped += changed_rows(planes, out)
+        assert snapped > 0
+
+    def test_saturate_keeps_the_full_gate(self, monkeypatch):
+        params, kept = MappingParams(), []
+        regate = mapping._regate
+
+        def checked(gate, planes, order, at, params):
+            out = regate(gate, planes, order, at, params)
+            kept.append(np.array_equal(out, _gate_matrix(planes, params)))
+            return out
+
+        monkeypatch.setattr(mapping, "_regate", checked)
+        for seed in self.SEEDS:
+            planes = manhattan_set(np.random.default_rng(seed))
+            assert_rows_close(_saturate(planes, params), saturate_ref(planes, params))
+        assert len(kept) > len(self.SEEDS) and all(kept)
 
 
 class TestMergeCondition:
@@ -245,6 +337,44 @@ class TestRegenerate:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             regenerate([PlaneSet([])], [])
+
+    def test_set_derivations_do_not_grow_with_snaps(self, monkeypatch):
+        # per update a few whole-set derivations, plus one per pairwise
+        # merge; an edge snap adds none, however many a frame accepts
+        frames = [manhattan_set(np.random.default_rng(seed), n=16)
+                  for seed in range(12)]
+        poses = [Pose(rot_z(0.002 * k), [0.01 * k, 0.0, 0.0]) for k in range(12)]
+        counts = dict.fromkeys(("frames", "merges", "snapped"), 0)
+        per_update = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def snaps(planes, params):
+            out = fuse(planes, params)
+            counts["snapped"] += changed_rows(planes, out)
+            return out
+
+        def update(*args):
+            before = dict(counts)
+            out = update_map_fn(*args)
+            per_update.append({k: counts[k] - before[k] for k in counts})
+            return out
+
+        fuse, update_map_fn = mapping._fuse_perpendicular, mapping.update_map
+        monkeypatch.setattr(geometry, "_frames", counted("frames", geometry._frames))
+        monkeypatch.setattr(mapping, "_merge_group",
+                            counted("merges", mapping._merge_group))
+        monkeypatch.setattr(mapping, "_fuse_perpendicular", snaps)
+        monkeypatch.setattr(mapping, "update_map", update)
+        regenerate(frames, poses)
+        assert len(per_update) == len(frames)
+        assert sum(u["snapped"] for u in per_update) > 3 * len(frames)
+        for u in per_update:
+            assert u["frames"] <= 6 + u["merges"]
 
     def test_empty_frames_skipped(self):
         ps = PlaneSet([square([0, 0, 0], size=(2.0, 2.0))])

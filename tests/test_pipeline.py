@@ -98,6 +98,11 @@ class TestRunSlam:
         pc = PipelineConfig()
         result = run_slam(scans, pc, initial_pose=frames[0][0])
         assert result.report.failed_frames == [0]
+        # the report keeps why the frame failed, also in its JSON form
+        reason = "TooFewPointsError: cannot mesh 2 points"
+        assert result.report.failure_reasons == {0: reason}
+        assert json.loads(json.dumps(result.report.to_dict()))["failure_reasons"] \
+            == {"0": reason}
         assert len(result.plane_map) > 0
         # frame 1 keeps the held pose and seeds the map, as frame 0 of a run
         # without the bad scan does

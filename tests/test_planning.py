@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from manhattan_slam.geometry import Plane, PlaneSet
+from manhattan_slam.geometry import GeometryError, Plane, PlaneSet
 from manhattan_slam.mapping import PlaneMap
 from manhattan_slam.planning import (
     Bounds,
@@ -206,6 +206,30 @@ class TestRrt:
                          step=0.3, seed=1)
         assert not tree.complete
         assert len(tree.parents) < 5
+
+    @pytest.mark.parametrize("lo, hi, problem", [
+        (np.zeros(2), np.ones(2), "shape"),
+        (np.zeros(3), [1.0, 1.0, np.inf], "non-finite"),
+        ([0.0, np.nan, 0.0], np.ones(3), "non-finite"),
+        (np.zeros(3), [1.0, 0.0, 1.0], "positive extent"),
+    ])
+    def test_bounds_need_finite_3_vectors_with_extent(self, lo, hi, problem):
+        with pytest.raises(ValueError, match=problem):
+            Bounds(lo, hi)
+
+    @pytest.mark.parametrize("start, step, error", [
+        (np.zeros(2), 0.5, GeometryError),
+        ([0.0, 0.0, np.nan], 0.5, GeometryError),
+        (np.zeros(3), 0.0, ValueError),
+        (np.zeros(3), -1.0, ValueError),
+        (np.zeros(3), np.nan, ValueError),
+    ])
+    def test_rrt_rejects_bad_start_or_step(self, start, step, error):
+        # a zero step spent every sample on a 1-node tree, a negative one
+        # grew nodes outside the bounds and called the tree complete
+        bounds = Bounds(np.array([-1.0, -1, -1]), np.array([1.0, 1, 1]))
+        with pytest.raises(error):
+            rrt_build(PlaneMap(), start, bounds, 20, step, seed=0)
 
     def test_tree_dict_shape(self):
         bounds = Bounds(np.array([-1.0, -1, -1]), np.array([1.0, 1, 1]))
